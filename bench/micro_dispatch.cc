@@ -23,7 +23,6 @@
 
 #include "cg/cg_tool.hh"
 #include "core/checkpoint.hh"
-#include "core/segment_engine.hh"
 #include "core/sigil_profiler.hh"
 #include "server/client.hh"
 #include "server/server.hh"
@@ -593,10 +592,11 @@ shardedTrace()
 
 /**
  * Address-sharded profiled replay: SGB2 trace into a full-fidelity
- * (re-use mode) Sigil profiler. Arg: 0 = the PR 2 async pipeline (one
- * analysis thread — the pre-sharding ceiling), N = N shard workers.
- * Real time, since the work happens on the workers. The acceptance
- * target is >= 2.0x items/sec at Arg(4) over Arg(0).
+ * (re-use mode) Sigil profiler. Arg: shardCount. Arg(1) is the serial
+ * engine and the baseline the sweep is judged against; N > 1 runs N
+ * shard workers. Real time, since the work happens on the workers.
+ * The acceptance target is >= 1.5x items/sec at Arg(4) over Arg(1)
+ * on a >= 4-core host.
  */
 void
 BM_ShardedReplay(benchmark::State &state)
@@ -606,10 +606,7 @@ BM_ShardedReplay(benchmark::State &state)
     for (auto _ : state) {
         std::istringstream is(trace, std::ios::binary);
         vg::GuestConfig gc;
-        if (state.range(0) == 0)
-            gc.asyncTools = true;
-        else
-            gc.shardCount = static_cast<unsigned>(state.range(0));
+        gc.shardCount = static_cast<unsigned>(state.range(0));
         vg::Guest g("bench", gc);
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
@@ -619,58 +616,7 @@ BM_ShardedReplay(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kShardWorkloadIters);
 }
-BENCHMARK(BM_ShardedReplay)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/**
- * Segment-parallel profiled replay: the same trace and full-fidelity
- * profiler as BM_ShardedReplay, but parallelized across the *time*
- * axis — the trace is cut at seek-indexed frame boundaries and each
- * segment replays concurrently against a speculative shadow, with an
- * ordered resolution merge reconciling unknown producers afterwards.
- * Arg: segment count; Arg(1) is the serial chained scan, the baseline
- * the sweep is judged against (acceptance: >= 2.0x items/sec at
- * Arg(4) on a >= 4-core host — a 1-CPU container still records the
- * sweep, the workers just time-slice). Real time, since the segment
- * workers run concurrently. The scan_pct counter shows the serial
- * control-scan share of the run — the Amdahl bound on segment scaling.
- */
-void
-BM_SegmentedReplay(benchmark::State &state)
-{
-    const std::string &trace = shardedTrace();
-    core::SigilConfig cfg; // defaults: re-use tracking on
-    double speculative = 0;
-    double segments_used = 0;
-    double scan_pct = 0;
-    for (auto _ : state) {
-        vg::Guest g("bench");
-        core::SigilProfiler prof(cfg);
-        g.addTool(&prof);
-        core::SegmentOptions so;
-        so.segments = static_cast<unsigned>(state.range(0));
-        core::SegmentResult res =
-            core::replaySegmented(trace, g, prof, so);
-        speculative = res.speculative ? 1 : 0;
-        segments_used = static_cast<double>(res.segmentsUsed);
-        std::uint64_t total =
-            res.timing.planNs + res.timing.scanNs + res.timing.resolveNs;
-        for (std::uint64_t ns : res.timing.workerNs)
-            total += ns;
-        scan_pct = total != 0 ? 100.0 *
-                                    static_cast<double>(res.timing.scanNs) /
-                                    static_cast<double>(total)
-                              : 0;
-        benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
-    }
-    state.counters["speculative"] = speculative;
-    state.counters["segments_used"] = segments_used;
-    state.counters["scan_pct"] = scan_pct;
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kShardWorkloadIters);
-}
-BENCHMARK(BM_SegmentedReplay)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ShardedReplay)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /**
  * One sigild instance shared by every BM_ServerQueryThroughput run:

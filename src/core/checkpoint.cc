@@ -5,6 +5,7 @@
 #include <istream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "support/crc32c.hh"
@@ -32,9 +33,23 @@ slurpStream(std::istream &is)
     return data;
 }
 
-} // namespace
+/**
+ * Identity of the trace a checkpoint belongs to: its size plus a CRC
+ * of its preamble. Resuming against a different trace is refused.
+ */
+struct TraceBinding
+{
+    std::uint64_t traceBytes = 0;
+    std::uint32_t preambleCrc = 0;
 
-namespace detail {
+    static TraceBinding of(std::string_view trace);
+
+    bool
+    operator==(const TraceBinding &o) const
+    {
+        return traceBytes == o.traceBytes && preambleCrc == o.preambleCrc;
+    }
+};
 
 TraceBinding
 TraceBinding::of(std::string_view trace)
@@ -46,6 +61,11 @@ TraceBinding::of(std::string_view trace)
     return b;
 }
 
+/**
+ * Atomically replace the checkpoint at `path`, rotating the previous
+ * one to "<path>.prev". Returns the bytes written, 0 on failure (a
+ * failed write never destroys the existing checkpoint).
+ */
 std::uint64_t
 writeCheckpointFile(const std::string &path, const std::string &payload)
 {
@@ -85,6 +105,7 @@ writeCheckpointFile(const std::string &path, const std::string &payload)
     return header.size() + payload.size();
 }
 
+/** Load and validate one checkpoint file; nullopt when unusable. */
 std::optional<std::string>
 loadCheckpointFile(const std::string &path)
 {
@@ -111,6 +132,7 @@ loadCheckpointFile(const std::string &path)
     return payload;
 }
 
+/** Serialize the complete replay state (binding + guest + tool + reader). */
 std::string
 buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
               SigilProfiler &profiler, vg::BinaryReplaySession &session)
@@ -124,6 +146,7 @@ buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
     return sink.take();
 }
 
+/** Inverse of buildSnapshot(); false when the payload does not match. */
 bool
 restoreSnapshot(const std::string &payload, const TraceBinding &binding,
                 vg::Guest &guest, SigilProfiler &profiler,
@@ -138,12 +161,6 @@ restoreSnapshot(const std::string &payload, const TraceBinding &binding,
     return guest.restoreState(src) && profiler.restoreState(src) &&
            session.restoreReaderState(src) && src.ok();
 }
-
-} // namespace detail
-
-namespace {
-
-using namespace detail;
 
 /**
  * Shared core: checkpointed replay directly over a byte view (an

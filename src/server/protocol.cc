@@ -1,5 +1,7 @@
 #include "server/protocol.hh"
 
+#include <charconv>
+
 namespace sigil::server {
 
 const char *
@@ -15,6 +17,19 @@ errCodeName(ErrCode code)
     case ErrCode::Internal: return "internal";
     }
     return "?";
+}
+
+bool
+parseCliNumber(std::string_view token, std::uint64_t max,
+               std::uint64_t *out)
+{
+    const char *end = token.data() + token.size();
+    std::uint64_t v = 0;
+    auto [p, ec] = std::from_chars(token.data(), end, v);
+    if (ec != std::errc() || p != end || v > max)
+        return false;
+    *out = v;
+    return true;
 }
 
 } // namespace sigil::server

@@ -17,6 +17,7 @@
 #define SIGIL_SERVER_PROTOCOL_HH
 
 #include <cstdint>
+#include <string_view>
 
 namespace sigil::server {
 
@@ -65,6 +66,14 @@ constexpr std::uint32_t kMaxRequestFrame = 1u << 16;
 
 /** Cap on response frames: a full profile of a large run is MBs. */
 constexpr std::uint32_t kMaxResponseFrame = 256u << 20;
+
+/**
+ * Parse a numeric command-line value of sigild or sigil-query: the
+ * whole token must be decimal digits naming a value in [0, max].
+ * Signs, blanks, trailing characters and overflow are rejected.
+ */
+bool parseCliNumber(std::string_view token, std::uint64_t max,
+                    std::uint64_t *out);
 
 } // namespace sigil::server
 

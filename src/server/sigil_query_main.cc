@@ -24,13 +24,15 @@
  * to stderr and exit non-zero.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/client.hh"
+#include "server/protocol.hh"
 
 using namespace sigil;
 
@@ -58,18 +60,31 @@ main(int argc, char **argv)
     std::vector<std::string> args;
 
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
+        bool is_socket = std::strcmp(argv[i], "--socket") == 0;
+        bool is_tcp = std::strcmp(argv[i], "--tcp") == 0;
+        if ((is_socket || is_tcp) && i + 1 >= argc) {
+            std::fprintf(stderr, "%s needs a value\n", argv[i]);
+            usage(argv[0]);
+            return 2;
+        }
+        if (is_socket) {
             unix_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc) {
+        } else if (is_tcp) {
             std::string spec = argv[++i];
             std::size_t colon = spec.rfind(':');
-            if (colon == std::string::npos || colon == 0) {
-                std::fprintf(stderr, "--tcp wants HOST:PORT\n");
+            std::uint64_t port = 0;
+            if (colon == std::string::npos || colon == 0 ||
+                !server::parseCliNumber(
+                    std::string_view(spec).substr(colon + 1), 65535,
+                    &port)) {
+                std::fprintf(stderr,
+                             "--tcp wants HOST:PORT with PORT in "
+                             "0..65535, got '%s'\n",
+                             spec.c_str());
                 return 2;
             }
             tcp_host = spec.substr(0, colon);
-            tcp_port = static_cast<std::uint16_t>(
-                std::strtoul(spec.c_str() + colon + 1, nullptr, 10));
+            tcp_port = static_cast<std::uint16_t>(port);
         } else {
             args.emplace_back(argv[i]);
         }

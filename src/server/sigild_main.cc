@@ -12,15 +12,20 @@
  *
  * Usage:
  *   sigild --socket PATH [--tcp PORT] [--load NAME=TRACE]...
- *          [--threads N] [--budget-mb N] [--segments N]
- *          [--timeout-ms N] [--stall-ms N]
+ *          [--threads N] [--budget-mb N] [--timeout-ms N]
+ *          [--stall-ms N]
+ *
+ * Numeric values must be plain decimal integers that fit their field
+ * (--tcp 0..65535, --threads 0..1024); anything else exits 2.
  */
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -33,6 +38,9 @@
 using namespace sigil;
 
 namespace {
+
+/** Worker-pool ceiling: far past any useful width, well short of OOM. */
+constexpr std::uint64_t kMaxThreads = 1024;
 
 int g_signal_pipe[2] = {-1, -1};
 
@@ -49,8 +57,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --socket PATH [--tcp PORT] [--load NAME=TRACE]...\n"
-        "          [--threads N] [--budget-mb N] [--segments N]\n"
-        "          [--timeout-ms N] [--stall-ms N]\n",
+        "          [--threads N] [--budget-mb N] [--timeout-ms N]\n"
+        "          [--stall-ms N]\n",
         argv0);
 }
 
@@ -62,22 +70,36 @@ main(int argc, char **argv)
     server::ServerConfig cfg;
     std::vector<std::pair<std::string, std::string>> loads;
 
-    auto intArg = [&](int &i, const char *what) -> long {
+    // Every flag takes a value; a missing one is reported by name.
+    auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s needs a value\n", what);
+            std::fprintf(stderr, "%s needs a value\n", argv[i]);
             usage(argv[0]);
             std::exit(2);
         }
-        return std::strtol(argv[++i], nullptr, 10);
+        return argv[++i];
+    };
+    auto number = [&](int &i, std::uint64_t max) -> std::uint64_t {
+        const char *flag = argv[i];
+        const char *token = value(i);
+        std::uint64_t v = 0;
+        if (!server::parseCliNumber(token, max, &v)) {
+            std::fprintf(stderr,
+                         "%s wants an integer in 0..%llu, got '%s'\n",
+                         flag, static_cast<unsigned long long>(max),
+                         token);
+            std::exit(2);
+        }
+        return v;
     };
 
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
-            cfg.unixPath = argv[++i];
+        if (std::strcmp(argv[i], "--socket") == 0) {
+            cfg.unixPath = value(i);
         } else if (std::strcmp(argv[i], "--tcp") == 0) {
-            cfg.tcpPort = static_cast<int>(intArg(i, "--tcp"));
-        } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
-            std::string spec = argv[++i];
+            cfg.tcpPort = static_cast<int>(number(i, 65535));
+        } else if (std::strcmp(argv[i], "--load") == 0) {
+            std::string spec = value(i);
             std::size_t eq = spec.find('=');
             if (eq == std::string::npos || eq == 0 ||
                 eq + 1 == spec.size()) {
@@ -88,21 +110,19 @@ main(int argc, char **argv)
             }
             loads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            cfg.threads =
-                static_cast<unsigned>(intArg(i, "--threads"));
+            cfg.threads = static_cast<unsigned>(number(i, kMaxThreads));
         } else if (std::strcmp(argv[i], "--budget-mb") == 0) {
             cfg.memoryBudgetBytes =
-                static_cast<std::size_t>(intArg(i, "--budget-mb"))
+                static_cast<std::size_t>(
+                    number(i, std::numeric_limits<std::size_t>::max() >>
+                                  20))
                 << 20;
-        } else if (std::strcmp(argv[i], "--segments") == 0) {
-            cfg.loadSegments =
-                static_cast<unsigned>(intArg(i, "--segments"));
         } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-            cfg.recvTimeoutMs = cfg.sendTimeoutMs =
-                static_cast<int>(intArg(i, "--timeout-ms"));
+            cfg.recvTimeoutMs = cfg.sendTimeoutMs = static_cast<int>(
+                number(i, std::numeric_limits<int>::max()));
         } else if (std::strcmp(argv[i], "--stall-ms") == 0) {
-            cfg.stallTimeoutMs =
-                static_cast<unsigned>(intArg(i, "--stall-ms"));
+            cfg.stallTimeoutMs = static_cast<unsigned>(
+                number(i, std::numeric_limits<unsigned>::max()));
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
             usage(argv[0]);

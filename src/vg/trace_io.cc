@@ -63,21 +63,7 @@ constexpr std::uint8_t kTagEvents = 0x02;
  * predating this tag skip it as an unknown-but-valid frame.
  */
 constexpr std::uint8_t kTagShutdown = 0x03;
-/**
- * Seek-index trailer: written by finish() after the end frame, payload
- * = varint entry count followed by one (offset delta, first event seq
- * delta, event count) varint triple per event frame. A 12-byte footer
- * ([u64le index frame offset]["SGIX"]) after the frame lets a reader
- * find it in O(1) from the file tail (docs/FORMATS.md §3.5). It sits
- * past the end frame, so replay — which stops at the end frame — never
- * visits it; salvage readers skip it as a valid frame of known length.
- */
-constexpr std::uint8_t kTagSeekIndex = 0x04;
 /// @}
-
-/** Seek-index footer magic (last 4 bytes of an indexed trace). */
-constexpr char kSeekFooterMagic[4] = {'S', 'G', 'I', 'X'};
-constexpr std::size_t kSeekFooterBytes = 12;
 
 /** Test-only decode-worker delay hook (setDecodeWorkerDelayForTesting). */
 void (*gDecodeWorkerDelayHook)(std::uint64_t block_seq) = nullptr;
@@ -1433,7 +1419,6 @@ BinaryTraceRecorder::attach(const Guest &guest)
     putVarint(header, name.size());
     header += name;
     os_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    bytesWritten_ = header.size();
     // SGB1 has no frame boundary a writer thread could hand off at,
     // so the async knob only engages for the framed formats.
     if (guest.config().asyncWriter && format_ != TraceFormat::SGB1) {
@@ -1497,11 +1482,6 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
     }
     putU32le(hdr, crc32c(payload.data(), payload.size()));
     putU32le(hdr, crc32c(hdr.data(), hdr.size()));
-    // Seek-index bookkeeping happens here, on whichever thread owns
-    // frame serialization (the writer thread in async mode), so the
-    // offsets always describe the bytes actually on the stream.
-    if (tag == kTagEvents)
-        seekIndex_.push_back({bytesWritten_, first_event, event_count});
     // Publish the frame with a single stream write. Split header and
     // payload writes open a window — one write(2) retired, the other
     // not — where a crash leaves a valid frame header whose payload
@@ -1511,30 +1491,6 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
     // can tear.
     hdr.append(payload.data(), payload.size());
     os_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
-    bytesWritten_ += hdr.size();
-}
-
-void
-BinaryTraceRecorder::writeSeekIndex()
-{
-    std::string payload;
-    putVarint(payload, seekIndex_.size());
-    std::uint64_t prev_off = 0;
-    std::uint64_t prev_seq = 0;
-    for (const SeekIndexEntry &e : seekIndex_) {
-        putVarint(payload, e.offset - prev_off);
-        putVarint(payload, e.firstEventSeq - prev_seq);
-        putVarint(payload, e.eventCount);
-        prev_off = e.offset;
-        prev_seq = e.firstEventSeq;
-    }
-    std::uint64_t index_off = bytesWritten_;
-    writeFrame(kTagSeekIndex, payload, events_, 0);
-    std::string footer;
-    for (int i = 0; i < 8; ++i)
-        footer.push_back(static_cast<char>(index_off >> (8 * i)));
-    footer.append(kSeekFooterMagic, 4);
-    os_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
 }
 
 void
@@ -1745,11 +1701,6 @@ BinaryTraceRecorder::finish()
     }
     if (writer_)
         writer_->shutdown();
-    // The seek index covers every event frame, so it can only be
-    // assembled once the writer thread (which owns the offsets in
-    // async mode) has drained and joined.
-    if (format_ != TraceFormat::SGB1)
-        writeSeekIndex();
     os_.flush();
 }
 
@@ -2101,13 +2052,6 @@ struct BinaryReplaySession::Impl
             pos = frame_end;
             break;
 
-          case kTagSeekIndex:
-            // Metadata for segment planning, not part of the event
-            // stream; only reachable when damage took out the end
-            // frame. Its length is trustworthy: skip it silently.
-            pos = frame_end;
-            break;
-
           default: {
             TraceError e;
             e.cause = TraceErrorCause::UnknownSection;
@@ -2238,12 +2182,6 @@ std::uint64_t
 BinaryReplaySession::blocksProcessed() const
 {
     return impl_->eventBlocks;
-}
-
-std::uint64_t
-BinaryReplaySession::nextOffset() const
-{
-    return impl_->pos;
 }
 
 void
@@ -3040,94 +2978,6 @@ scanSgb2Blocks(std::string_view trace)
             break;
     }
     return blocks;
-}
-
-std::vector<SeekIndexEntry>
-readSeekIndex(std::string_view trace)
-{
-    std::vector<SeekIndexEntry> entries;
-    if (trace.size() < kSeekFooterBytes)
-        return entries;
-    const char *tail = trace.data() + trace.size() - kSeekFooterBytes;
-    if (std::memcmp(tail + 8, kSeekFooterMagic, 4) != 0)
-        return entries;
-    std::uint64_t index_off = 0;
-    for (int i = 0; i < 8; ++i) {
-        index_off |= static_cast<std::uint64_t>(
-                         static_cast<unsigned char>(tail[i]))
-                     << (8 * i);
-    }
-    bool sgb3 = trace.size() >= 4 &&
-                std::memcmp(trace.data(), kSgb3Magic, 4) == 0;
-    if (!sgb3 && !(trace.size() >= 4 &&
-                   std::memcmp(trace.data(), kSgb2Magic, 4) == 0)) {
-        return entries;
-    }
-    if (index_off >= trace.size())
-        return entries;
-    std::optional<FrameHeader> h =
-        parseFrameAt(trace, static_cast<std::size_t>(index_off), sgb3);
-    if (!h || h->tag != kTagSeekIndex)
-        return entries;
-    std::size_t payload_off =
-        static_cast<std::size_t>(index_off) + h->headerLen;
-    if (payload_off + h->payloadLen + kSeekFooterBytes != trace.size())
-        return entries;
-    std::string_view payload =
-        trace.substr(payload_off, static_cast<std::size_t>(h->payloadLen));
-    if (crc32c(payload.data(), payload.size()) != h->payloadCrc)
-        return entries;
-    std::string raw;
-    if (h->compressed) {
-        raw.resize(static_cast<std::size_t>(h->rawLen));
-        if (!lzDecompress(payload.data(), payload.size(), raw.data(),
-                          raw.size())) {
-            return entries;
-        }
-        payload = raw;
-    }
-    const unsigned char *p =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    std::size_t pos = 0;
-    std::size_t avail = payload.size();
-    auto varint = [&](std::uint64_t &out) -> bool {
-        std::uint64_t v = 0;
-        unsigned shift = 0;
-        for (;;) {
-            if (pos >= avail || shift >= 70)
-                return false;
-            std::uint8_t byte = p[pos++];
-            v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-            if (!(byte & 0x80)) {
-                out = v;
-                return true;
-            }
-            shift += 7;
-        }
-    };
-    std::uint64_t count = 0;
-    if (!varint(count) || count > trace.size())
-        return entries;
-    entries.reserve(static_cast<std::size_t>(count));
-    std::uint64_t prev_off = 0;
-    std::uint64_t prev_seq = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t d_off = 0, d_seq = 0, n = 0;
-        if (!varint(d_off) || !varint(d_seq) || !varint(n))
-            return {};
-        SeekIndexEntry e;
-        e.offset = prev_off + d_off;
-        e.firstEventSeq = prev_seq + d_seq;
-        e.eventCount = n;
-        if (e.offset >= trace.size())
-            return {};
-        prev_off = e.offset;
-        prev_seq = e.firstEventSeq;
-        entries.push_back(e);
-    }
-    if (pos != avail)
-        return {};
-    return entries;
 }
 
 std::uint64_t

@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild profile-query daemon suite (DESIGN.md §4.9).
+ * sigild profile-query daemon suite (DESIGN.md §4.8).
  *
  * The contract under test: the daemon is a transport, not an analysis
  * — every response must be byte-identical to the in-process rendering
@@ -454,7 +454,7 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
 
     // Budget fits two profiles but not three.
     auto governor = std::make_shared<MemoryGovernor>(one * 5 / 2);
-    server::ProfileCatalog catalog(governor, 1);
+    server::ProfileCatalog catalog(governor);
     ASSERT_TRUE(catalog.load("t1", trace).ok);
     ASSERT_TRUE(catalog.load("t2", trace).ok);
     EXPECT_EQ(catalog.size(), 2u);
@@ -497,7 +497,7 @@ TEST(ServerCatalog, UngovernedCatalogNeverEvicts)
     QuietLogs quiet;
     std::string trace = recordTrace(tmpStem("ungov") + ".trace", 7,
                                     1000);
-    server::ProfileCatalog catalog(nullptr, 1);
+    server::ProfileCatalog catalog(nullptr);
     for (int i = 0; i < 6; ++i) {
         ASSERT_TRUE(
             catalog.load("t" + std::to_string(i), trace).ok);
@@ -645,6 +645,110 @@ TEST(ServerBinary, SigtermDrainsAndExitsZero)
     ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
     EXPECT_TRUE(WIFEXITED(wstatus));
     EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
+/**
+ * Run a binary to completion with stderr captured. A run still alive
+ * after 10 s is killed and reported as -1: a rejected command line
+ * must exit at once, never go on to serve.
+ */
+int
+runBinary(const char *path, const std::vector<std::string> &args,
+          std::string *err)
+{
+    int fds[2];
+    if (::pipe(fds) != 0)
+        return -2;
+    pid_t pid = ::fork();
+    if (pid < 0)
+        return -2;
+    if (pid == 0) {
+        ::dup2(fds[1], STDERR_FILENO);
+        ::close(fds[0]);
+        ::close(fds[1]);
+        std::vector<char *> argv{const_cast<char *>(path)};
+        for (const std::string &a : args)
+            argv.push_back(const_cast<char *>(a.c_str()));
+        argv.push_back(nullptr);
+        ::execv(path, argv.data());
+        _exit(127); // exec failed
+    }
+    ::close(fds[1]);
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int wstatus = 0;
+    bool killed = false;
+    while (::waitpid(pid, &wstatus, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &wstatus, 0);
+            killed = true;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    char buf[512];
+    ssize_t n;
+    while ((n = ::read(fds[0], buf, sizeof(buf))) > 0)
+        err->append(buf, static_cast<std::size_t>(n));
+    ::close(fds[0]);
+    if (killed || !WIFEXITED(wstatus))
+        return -1;
+    return WEXITSTATUS(wstatus);
+}
+
+TEST(ServerBinary, BadFlagValuesExitTwoWithoutServing)
+{
+    std::string sock = tmpStem("badarg") + ".sock";
+    struct Case
+    {
+        const char *binary;
+        std::vector<std::string> args;
+        const char *message;
+    };
+    const Case cases[] = {
+        // -1 once wrapped to 4294967295 workers and died in bad_alloc.
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--threads", "-1"},
+         "--threads wants an integer"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--threads", "4x"},
+         "--threads wants an integer"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--threads", "1025"},
+         "--threads wants an integer"},
+        // 70000 once truncated to port 4464; "abc" once became 0.
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--tcp", "70000"},
+         "--tcp wants an integer in 0..65535"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--tcp", "abc"},
+         "--tcp wants an integer in 0..65535"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--timeout-ms", "abc"},
+         "--timeout-ms wants an integer"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--timeout-ms", "3000000000"},
+         "--timeout-ms wants an integer"},
+        {SIGIL_SIGILD_PATH,
+         {"--socket", sock, "--budget-mb", "99999999999999999999"},
+         "--budget-mb wants an integer"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--stall-ms", ""},
+         "--stall-ms wants an integer"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--threads"},
+         "--threads needs a value"},
+        {SIGIL_SIGILD_PATH, {"--socket"}, "--socket needs a value"},
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--load"},
+         "--load needs a value"},
+        {SIGIL_QUERY_PATH, {"--tcp", "127.0.0.1:70000", "ping"},
+         "--tcp wants HOST:PORT"},
+        {SIGIL_QUERY_PATH, {"--tcp", "127.0.0.1:8x", "ping"},
+         "--tcp wants HOST:PORT"},
+        {SIGIL_QUERY_PATH, {"--tcp"}, "--tcp needs a value"},
+    };
+    for (const Case &c : cases) {
+        std::string where = c.binary;
+        for (const std::string &a : c.args)
+            where += " '" + a + "'";
+        SCOPED_TRACE(where);
+        std::string err;
+        EXPECT_EQ(runBinary(c.binary, c.args, &err), 2);
+        EXPECT_NE(err.find(c.message), std::string::npos) << err;
+        EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "socket was bound";
+    }
 }
 #endif // SIGIL_SIGILD_PATH
 

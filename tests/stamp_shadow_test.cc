@@ -304,6 +304,13 @@ runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
         const std::size_t body_off = orig_src.pos();
         EXPECT_EQ(again.bytes(),
                   snapshot.substr(body_off));
+
+        // v3 is the newest body: a v4 version byte is unknown.
+        std::string v4 = again.bytes();
+        v4[0] = 4;
+        core::SigilProfiler reject(profilerConfig(p));
+        ByteSource v4_src(v4.data(), v4.size());
+        EXPECT_FALSE(reject.restoreState(v4_src));
     }
 
     driveSegment(g2, rng, p, tail, in_roi);

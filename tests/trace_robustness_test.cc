@@ -26,7 +26,6 @@
 
 #include "core/checkpoint.hh"
 #include "core/profile_io.hh"
-#include "core/segment_engine.hh"
 #include "core/sigil_profiler.hh"
 #include "support/crc32c.hh"
 #include "support/logging.hh"
@@ -224,33 +223,6 @@ replayBinary(const std::string &trace, const TraceParams &p,
     return out;
 }
 
-/** Replay a binary trace segment-parallel into a fresh profiler; the
- *  segment engine's contract on damaged inputs is the exact serial
- *  ReplayReport and a bit-identical reconciled profile. */
-ReplayOutcome
-replaySegmentedOutcome(const std::string &trace, const TraceParams &p,
-                       vg::ReplayPolicy policy, unsigned segments)
-{
-    QuietLogs quiet;
-    vg::Guest g("robust");
-    core::SigilProfiler prof(profilerConfig(p));
-    g.addTool(&prof);
-    core::SegmentOptions so;
-    so.segments = segments;
-    so.replay.policy = policy;
-    ReplayOutcome out;
-    out.report = core::replaySegmented(trace, g, prof, so).report;
-    if (out.report.ok()) {
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        out.profile = pos.str();
-        std::ostringstream eos;
-        core::writeEvents(eos, prof.events());
-        out.events = eos.str();
-    }
-    return out;
-}
-
 /** Assert every field of two replay reports matches — the parallel
  *  decoder's contract is full-report equality, not just event totals. */
 void
@@ -289,8 +261,7 @@ expectReportsEqual(const vg::ReplayReport &a, const vg::ReplayReport &b)
 std::uint64_t
 recordedTotal(const std::string &trace)
 {
-    // The end frame is followed by the seek-index trailer, so it is
-    // the last frame of tag 0x00, not the last frame outright.
+    // The total lives in the last frame of tag 0x00, the end frame.
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
     EXPECT_FALSE(blocks.empty());
     for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
@@ -446,14 +417,13 @@ TEST(Sgb2Format, RoundTripMatchesSgb1AndScans)
     EXPECT_GT(o2.profile.size(), 100u);
 
     // The frame scan sees every block and the trailer's event total;
-    // the seek-index frame rides after the end frame.
+    // the end frame is the last bytes of the file.
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(b2.str());
     ASSERT_GE(blocks.size(), 5u);
-    EXPECT_EQ(blocks.back().tag, 0x04);
-    ASSERT_GE(blocks.size(), 2u);
-    EXPECT_EQ(blocks[blocks.size() - 2].tag, kTagEnd);
-    EXPECT_EQ(blocks[blocks.size() - 2].firstEventSeq,
-              r2.eventsWritten());
+    EXPECT_EQ(blocks.back().tag, kTagEnd);
+    EXPECT_EQ(blocks.back().firstEventSeq, r2.eventsWritten());
+    EXPECT_EQ(blocks.back().offset + blocks.back().length,
+              b2.str().size());
     std::uint64_t counted = 0;
     for (const vg::Sgb2BlockInfo &b : blocks)
         counted += b.eventCount;
@@ -648,46 +618,63 @@ TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
             EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
         }
     }
+
+    // A mid-stream cut replayed into a profiler with events on: salvage
+    // still yields a profile, flagged as truncated and trailer-less.
+    TraceParams pe{101, 0, 0, true, true, false};
+    std::string full = recordTrace(pe, vg::TraceFormat::SGB2, 64);
+    ReplayOutcome mid = replayBinary(full.substr(0, full.size() * 2 / 3),
+                                     pe, vg::ReplayPolicy::Salvage);
+    EXPECT_TRUE(mid.report.ok());
+    EXPECT_TRUE(mid.report.truncated);
+    EXPECT_FALSE(mid.report.sawTrailer);
+    EXPECT_FALSE(mid.profile.empty());
 }
 
 TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
 {
-    TraceParams p{44, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
-    std::uint64_t total = recordedTotal(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    // The second input collects events under an evicting shadow.
+    for (TraceParams p : {TraceParams{44, 0, 0, true, false, false},
+                          TraceParams{202, 0, 6, true, true, false}}) {
+        std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+        std::uint64_t total = recordedTotal(trace);
+        std::vector<vg::Sgb2BlockInfo> blocks =
+            vg::scanSgb2Blocks(trace);
 
-    for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-        const vg::Sgb2BlockInfo &victim = blocks[vi];
-        if (victim.tag != kTagEvents)
-            continue;
-        SCOPED_TRACE("victim block " + std::to_string(vi));
-        std::string bad = trace;
-        // Flip the last payload byte: header stays valid, payload CRC
-        // must catch the damage before any event is dispatched.
-        bad[victim.offset + victim.length - 1] ^= 0x01;
+        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
+            const vg::Sgb2BlockInfo &victim = blocks[vi];
+            if (victim.tag != kTagEvents)
+                continue;
+            SCOPED_TRACE("seed " + std::to_string(p.seed) +
+                         " victim block " + std::to_string(vi));
+            std::string bad = trace;
+            // Flip the last payload byte: header stays valid, payload
+            // CRC must catch the damage before any event is dispatched.
+            bad[victim.offset + victim.length - 1] ^= 0x01;
 
-        vg::ReplayReport strict =
-            replayRaw(bad, vg::ReplayPolicy::Strict);
-        ASSERT_TRUE(strict.error.has_value());
-        EXPECT_EQ(strict.error->cause, vg::TraceErrorCause::PayloadCrc);
-        EXPECT_EQ(strict.error->byteOffset, victim.offset);
-        EXPECT_EQ(strict.error->blockIndex,
-                  static_cast<std::int64_t>(vi));
+            vg::ReplayReport strict =
+                replayRaw(bad, vg::ReplayPolicy::Strict);
+            ASSERT_TRUE(strict.error.has_value());
+            EXPECT_EQ(strict.error->cause,
+                      vg::TraceErrorCause::PayloadCrc);
+            EXPECT_EQ(strict.error->byteOffset, victim.offset);
+            EXPECT_EQ(strict.error->blockIndex,
+                      static_cast<std::int64_t>(vi));
 
-        ReplayOutcome salvage =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage);
-        EXPECT_TRUE(salvage.report.ok());
-        EXPECT_TRUE(salvage.report.sawTrailer);
-        EXPECT_EQ(salvage.report.blocksSkipped, 1u);
-        EXPECT_EQ(salvage.report.eventsSkipped, victim.eventCount);
-        EXPECT_EQ(salvage.report.eventsDelivered +
-                      salvage.report.eventsSkipped,
-                  total);
-        ASSERT_EQ(salvage.report.errors.size(), 1u);
-        EXPECT_EQ(salvage.report.errors[0].cause,
-                  vg::TraceErrorCause::PayloadCrc);
-        EXPECT_FALSE(salvage.profile.empty());
+            ReplayOutcome salvage =
+                replayBinary(bad, p, vg::ReplayPolicy::Salvage);
+            EXPECT_TRUE(salvage.report.ok());
+            EXPECT_TRUE(salvage.report.sawTrailer);
+            EXPECT_EQ(salvage.report.blocksSkipped, 1u);
+            EXPECT_EQ(salvage.report.eventsSkipped, victim.eventCount);
+            EXPECT_EQ(salvage.report.eventsDelivered +
+                          salvage.report.eventsSkipped,
+                      total);
+            ASSERT_EQ(salvage.report.errors.size(), 1u);
+            EXPECT_EQ(salvage.report.errors[0].cause,
+                      vg::TraceErrorCause::PayloadCrc);
+            EXPECT_FALSE(salvage.profile.empty());
+        }
     }
 }
 
@@ -878,109 +865,6 @@ TEST(ParallelDecode, DamagedHeaderResyncMatchesSerialExactly)
         EXPECT_GE(serial.report.resyncs, 1u);
         expectReportsEqual(serial.report, parallel.report);
         EXPECT_EQ(serial.profile, parallel.profile);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Segment-parallel salvage: exact serial equivalence on damaged traces
-// ---------------------------------------------------------------------
-
-TEST(SegmentedSalvage, TruncationSweepMatchesSerialExactly)
-{
-    // Truncation tears off the seek-index trailer, so cut planning
-    // falls back to the frame-chain scan — and the torn tail frame
-    // lands inside the last segment. Stride-sampled: every 13th byte
-    // still crosses every frame and both header/payload regions.
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{37, 0, 0, true, true, false};
-        std::string trace = recordTrace(p, format, 32, 200);
-        ASSERT_GT(recordedTotal(trace), 80u);
-
-        for (std::size_t cut = 0; cut < trace.size(); cut += 13) {
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " cut at " + std::to_string(cut));
-            std::string t = trace.substr(0, cut);
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                ReplayOutcome serial = replayBinary(t, p, policy);
-                ReplayOutcome seg =
-                    replaySegmentedOutcome(t, p, policy, 4);
-                expectReportsEqual(serial.report, seg.report);
-                EXPECT_EQ(serial.profile, seg.profile);
-                EXPECT_EQ(serial.events, seg.events);
-            }
-        }
-    }
-}
-
-TEST(SegmentedSalvage, CorruptBlockSweepMatchesSerialExactly)
-{
-    // Payload corruption leaves the seek-index trailer intact, so the
-    // speculative path plans cuts from the index — possibly onto the
-    // corrupt frame itself — and every worker must resync around the
-    // damage exactly as the control scan did.
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{38, 0, 0, true, true, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        ASSERT_GT(blocks.size(), 4u);
-
-        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-            const vg::Sgb2BlockInfo &victim = blocks[vi];
-            if (victim.tag != kTagEvents)
-                continue;
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " victim block " + std::to_string(vi));
-            std::string bad = trace;
-            bad[victim.offset + victim.length - 1] ^= 0x01;
-
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                ReplayOutcome serial = replayBinary(bad, p, policy);
-                ReplayOutcome seg =
-                    replaySegmentedOutcome(bad, p, policy, 4);
-                expectReportsEqual(serial.report, seg.report);
-                EXPECT_EQ(serial.profile, seg.profile);
-                EXPECT_EQ(serial.events, seg.events);
-            }
-        }
-    }
-}
-
-TEST(SegmentedSalvage, DamagedHeaderResyncMatchesSerialExactly)
-{
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{39, 0, 0, true, true, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        std::size_t vi = 0;
-        for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
-            if (blocks[i].tag == kTagEvents) {
-                vi = i;
-                break;
-            }
-        ASSERT_GT(vi, 0u);
-        std::string bad = trace;
-        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
-
-        ReplayOutcome serial =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage);
-        ASSERT_TRUE(serial.report.ok());
-        EXPECT_GE(serial.report.resyncs, 1u);
-        for (unsigned segments : {2u, 4u, 8u}) {
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " segments " + std::to_string(segments));
-            ReplayOutcome seg = replaySegmentedOutcome(
-                bad, p, vg::ReplayPolicy::Salvage, segments);
-            expectReportsEqual(serial.report, seg.report);
-            EXPECT_EQ(serial.profile, seg.profile);
-            EXPECT_EQ(serial.events, seg.events);
-        }
     }
 }
 
