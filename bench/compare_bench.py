@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Compare a fresh google-benchmark JSON against a committed baseline.
 
-Guards the perf trajectory of the hot paths the PR series optimizes:
-the stamp-word span fill (BM_ShadowSpanStride), end-to-end trace
-replay throughput (BM_TraceReplayThroughput), and the shadow-memory
-footprint (the shadow_peak_bytes counter). A regression of more than
+Guards the perf trajectory of the hot paths: the stamp-word span fill
+(BM_ShadowSpanStride), the read-classification layer
+(BM_ClassifyRead), one traced read through cg + Sigil
+(BM_FullReadDispatch), end-to-end trace replay throughput
+(BM_TraceReplayThroughput), and the shadow-memory footprint (the
+shadow_peak_bytes counter). A regression of more than
 the threshold (default 10%) on any watched metric fails the run.
 
 Usage:
@@ -47,6 +49,8 @@ import sys
 WATCHED = [
     (r"^BM_ShadowSpanStride/", "bytes_per_second", +1),
     (r"^BM_ShadowPerUnitStride/", "bytes_per_second", +1),
+    (r"^BM_ClassifyRead/", "items_per_second", +1),
+    (r"^BM_FullReadDispatch$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "shadow_peak_bytes", -1),
     (r"^BM_ShardedReplay/", "items_per_second", +1),

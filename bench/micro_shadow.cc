@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "cg/cg_tool.hh"
+#include "core/comm_tables.hh"
 #include "core/sigil_profiler.hh"
 #include "shadow/reuse_distance.hh"
 #include "shadow/shadow_memory.hh"
@@ -142,6 +143,84 @@ BM_CacheSimAccess(benchmark::State &state)
         benchmark::DoNotOptimize(sim.access(rng.nextBounded(1 << 22), 8));
 }
 BENCHMARK(BM_CacheSimAccess);
+
+/**
+ * Classification layer alone: 8-byte reads through the read kernels,
+ * no guest and no dispatch. A 16 KiB window is stamped once in 8-byte
+ * blocks by four writer contexts, with a 3-byte overwrite by a fifth
+ * context in every seventh block so some reads cover several stamp
+ * runs. Reads then walk the window in order; each pass is one call
+ * of the next of four reader contexts, so every read closes its
+ * units' re-use runs and starts new ones, and the stamp pattern the
+ * reads see is the same on every pass.
+ *
+ * Arg 0: the run kernel (span runs + commReadRun), the engines' path.
+ * Arg 1: the per-unit reference (lookup + commReadUnit per unit), the
+ * referenceShadowPath oracle.
+ */
+void
+BM_ClassifyRead(benchmark::State &state)
+{
+    const bool per_unit = state.range(0) != 0;
+    constexpr std::uint64_t kWindow = 1 << 14;
+    constexpr unsigned kSize = 8;
+    shadow::ShadowMemory sm;
+    core::CommTables tables;
+    for (vg::Addr addr = 0; addr < kWindow; addr += kSize) {
+        const std::uint64_t block = addr / kSize;
+        const vg::ContextId ctx = static_cast<vg::ContextId>(block % 4);
+        const shadow::StampId ws =
+            sm.internWriter(shadow::WriterStamp{0, ctx, 0});
+        sm.span(addr, addr + kSize - 1, false,
+                [&](shadow::ShadowMemory::Run run) {
+                    core::commWriteRun(tables, true, sm.stamps(), run, ws);
+                });
+        if (block % 7 == 0) {
+            const shadow::StampId ow =
+                sm.internWriter(shadow::WriterStamp{0, 4, 1});
+            sm.span(addr + 2, addr + 4, false,
+                    [&](shadow::ShadowMemory::Run run) {
+                        core::commWriteRun(tables, true, sm.stamps(), run,
+                                           ow);
+                    });
+        }
+    }
+
+    const bool reuse = true;
+    const bool classify = true;
+    core::ClassifyEnv env{reuse, classify, false, 0};
+    std::uint64_t unique = 0;
+    std::uint64_t reads = 0;
+    for (auto _ : state) {
+        const vg::Addr addr = (reads * kSize) & (kWindow - 1);
+        const std::uint64_t pass = reads * kSize / kWindow;
+        core::AccessStamp a;
+        a.ctx = static_cast<vg::ContextId>(pass % 4);
+        a.call = pass;
+        a.tick = reads;
+        const shadow::StampId rs =
+            sm.internReader(shadow::ReaderStamp{a.call, a.ctx});
+        if (per_unit) {
+            for (vg::Addr u = addr; u < addr + kSize; ++u) {
+                shadow::ShadowRef ref = sm.lookup(u, true);
+                core::commReadUnit(tables, env, sm.stamps(), ref.hot,
+                                   ref.cold, 1, a, rs, nullptr, unique);
+            }
+        } else {
+            sm.span(addr, addr + kSize - 1, true,
+                    [&](shadow::ShadowMemory::Run run) {
+                        core::commReadRun(tables, env, sm.stamps(), run,
+                                          addr, addr + kSize, a, rs,
+                                          nullptr, unique);
+                    });
+        }
+        ++reads;
+    }
+    benchmark::DoNotOptimize(unique);
+    benchmark::DoNotOptimize(tables.edges.size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ClassifyRead)->Arg(0)->Arg(1);
 
 /** Full stack: one traced read through cg + Sigil. */
 void

@@ -10,7 +10,11 @@ diagnostics:
   - a fresh suite absent from the baseline likewise,
   - a benchmark entry without a "name" is a clean error, not a
     KeyError traceback,
-  - a self-compare still passes both modes.
+  - a self-compare still passes both modes,
+  - the classification-layer entries (BM_ClassifyRead/*,
+    BM_FullReadDispatch items_per_second) are watched: a slower fresh
+    run fails strict mode naming the benchmark, a missing one is a
+    suite diagnostic, and BM_NativeReadDispatch stays unwatched.
 
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
@@ -123,6 +127,35 @@ def main():
         base_agg = write(tmp, "base_agg.json", with_aggregate)
         rc, out = run(base_agg, fresh_full)
         check("nameless aggregate rows are skipped", rc == 0, out)
+
+        # Classification layer: both kernel variants and the full
+        # read dispatch are gated on items_per_second.
+        layer = [
+            bench("BM_ClassifyRead/0", items_per_second=1e7),
+            bench("BM_ClassifyRead/1", items_per_second=5e6),
+            bench("BM_FullReadDispatch", items_per_second=1e7),
+            bench("BM_NativeReadDispatch", items_per_second=1e8),
+        ]
+        base_layer = write(tmp, "base_layer.json", doc(layer))
+        rc, out = run(base_layer, base_layer)
+        check("classification layer self-compare passes",
+              rc == 0 and "BM_ClassifyRead/0 [items_per_second]" in out
+              and "BM_ClassifyRead/1 [items_per_second]" in out
+              and "BM_FullReadDispatch [items_per_second]" in out
+              and "BM_NativeReadDispatch" not in out, out)
+        for name in ("BM_ClassifyRead/0", "BM_FullReadDispatch"):
+            slower = [bench(b["name"], items_per_second=(
+                b["items_per_second"] * 0.8 if b["name"] == name
+                else b["items_per_second"])) for b in layer]
+            fresh_slow = write(tmp, "fresh_slow.json", doc(slower))
+            rc, out = run(base_layer, fresh_slow)
+            check(f"{name} 20% slower fails strict",
+                  rc != 0 and f"REGRESSED {name} " in out, out)
+            dropped = [b for b in layer if b["name"] != name]
+            fresh_drop = write(tmp, "fresh_drop.json", doc(dropped))
+            rc, out = run(base_layer, fresh_drop)
+            check(f"{name} missing from fresh fails strict",
+                  rc != 0 and f"missing  {name} " in out, out)
 
     if failures:
         print(f"\n{len(failures)} case(s) failed: {failures}")

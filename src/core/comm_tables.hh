@@ -6,10 +6,19 @@
  * vs. non-unique, re-use runs) is needed by two engines: the serial
  * SigilProfiler and the address-sharded parallel engine, where every
  * shard worker maintains a private partial table that is later merged.
- * Keeping one implementation of the per-unit kernels — commReadUnit /
- * commWriteUnit / commFinalizeRun operating on a CommTables — is what
- * makes "sharded output is bit-identical to serial" true by
- * construction rather than by parallel maintenance of two copies.
+ * Both engines walk an access as chunk-clamped shadow span runs and
+ * hand every run to the same two run kernels, commReadRun and
+ * commWriteRun, which is what makes "sharded output is bit-identical
+ * to serial" true by construction rather than by parallel maintenance
+ * of two copies.
+ *
+ * The bytes of one access almost always carry the same writer and
+ * reader stamps, so commReadRun classifies once per run of units with
+ * equal stamps (commClassifyBytes, with the run's summed width) and
+ * keeps only the per-unit state — re-use runs, line totals, the
+ * reader stamp — in a per-unit loop. The per-unit kernels
+ * commReadUnit / commWriteUnit run only behind
+ * SigilConfig::referenceShadowPath, as the differential oracle.
  *
  * All quantities in a CommTables are unsigned-integer sums or
  * histogram counts, so merging shard partials by addition reproduces
@@ -22,6 +31,7 @@
 #ifndef SIGIL_CORE_COMM_TABLES_HH
 #define SIGIL_CORE_COMM_TABLES_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -78,11 +88,13 @@ struct AccessStamp
 };
 
 /**
- * Collection environment of the read kernel. The fidelity flags are
+ * Collection environment of the read kernels. The fidelity flags are
  * *references*: in the serial engine a failure-injected chunk
- * allocation can degrade fidelity in the middle of a multi-unit span,
- * and the kernel must observe the flip on the very next unit, exactly
- * as the pre-refactor member functions did.
+ * allocation can degrade fidelity in the middle of a multi-chunk
+ * access. Chunk resolution happens only between span runs, so a flip
+ * is seen from the next chunk run on and never inside one — which is
+ * why a run kernel may read the flags once per run. granularityShift
+ * is the shadow's unit shift.
  */
 struct ClassifyEnv
 {
@@ -230,44 +242,27 @@ commWriteUnit(CommTables &t, const bool &reuse_enabled,
 }
 
 /**
- * Classify one read of w bytes against a unit's shadow state and
- * update that state. reader_id is the access's consumer identity
- * (a.call, a.ctx), interned once per access. cold may be null when the
- * access does not need the cold record (the caller materializes it
- * exactly when re-use or line mode will touch it). seg_xfers
- * (nullable) receives producer-segment → unique-byte transfers;
- * unique_bytes_this_access accumulates for per-object attribution.
+ * Classify w read bytes whose units all carry the hot stamps s: the
+ * reader and producer row updates, the edge and thread-edge updates,
+ * the segment transfer and the unique-byte count. This is the whole
+ * stamp-level part of a read; it never touches a unit's own state, so
+ * a run of units with equal stamps is classified by one call with the
+ * run's summed width. seg_xfers (nullable) receives producer-segment
+ * → unique-byte transfers; unique_bytes_this_access accumulates for
+ * per-object attribution.
  */
 inline void
-commReadUnit(CommTables &t, const ClassifyEnv &env,
-             const shadow::StampTable &st, shadow::ShadowHot &s,
-             shadow::ShadowCold *c, std::uint64_t w,
-             const AccessStamp &a, shadow::StampId reader_id,
-             std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
-             std::uint64_t &unique_bytes_this_access)
+commClassifyBytes(CommTables &t, const ClassifyEnv &env,
+                  const shadow::StampTable &st, shadow::ShadowHot s,
+                  std::uint64_t w, const AccessStamp &a,
+                  std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+                  std::uint64_t &unique_bytes_this_access)
 {
     const shadow::WriterStamp &wr = st.writer(s.writer);
     const bool ever_written = wr.ctx != vg::kInvalidContext;
     vg::ContextId producer = ever_written ? wr.ctx : kUninitProducer;
     bool unique = st.reader(s.reader).ctx != a.ctx;
     bool local = producer == a.ctx;
-
-    if (!a.collecting) {
-        // Outside the ROI: maintain shadow state only. Clear any
-        // pending run so pre-ROI reads never leak into ROI stats.
-        if (c != nullptr)
-            c->runReads = 0;
-        s.reader = reader_id;
-        return;
-    }
-
-    if (!env.classifyEnabled) {
-        // Degradation level 2: raw byte totals continue, but per-class
-        // aggregation stops. Reader identity is still maintained so a
-        // later analysis of the shadow state remains coherent.
-        s.reader = reader_id;
-        return;
-    }
 
     if (unique)
         unique_bytes_this_access += w;
@@ -334,28 +329,173 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
         wr.seq != a.segSeq) {
         (*seg_xfers)[wr.seq] += w;
     }
+}
 
-    if (env.reuseEnabled) {
+/**
+ * Per-unit state update of a classified read: continue or restart the
+ * unit's re-use run (reuse), count the access (line mode), and record
+ * the reader. Runs after the unit's bytes were classified against its
+ * old stamps. The two modes are passed by value so a run kernel can
+ * read the fidelity flags once per run.
+ */
+inline void
+commReadUnitState(CommTables &t, const shadow::StampTable &st,
+                  shadow::ShadowHot &s, shadow::ShadowCold *c,
+                  vg::Tick tick, shadow::StampId reader_id, bool reuse,
+                  bool line)
+{
+    if (reuse) {
         // Stamp interning is injective, so id equality is exactly the
         // old (reader ctx, reader call) pair comparison. Re-use mode
         // always resolves with want_cold, so c is non-null here.
         if (s.reader == reader_id) {
             ++c->runReads;
-            c->runLastRead = a.tick;
+            c->runLastRead = tick;
         } else {
-            commFinalizeRun(t, env.reuseEnabled, st, s, c);
+            commFinalizeRun(t, reuse, st, s, c);
             c->runReads = 1;
-            c->runFirstRead = a.tick;
-            c->runLastRead = a.tick;
+            c->runFirstRead = tick;
+            c->runLastRead = tick;
         }
     }
 
     // Per-unit access totals only feed the line-granularity re-use
     // breakdown, so byte-mode reads skip the cold record entirely
     // unless they are tracking a re-use run.
-    if (env.granularityShift > 0)
+    if (line)
         ++c->totalAccesses;
     s.reader = reader_id;
+}
+
+/**
+ * Classify one read of w bytes against a unit's shadow state and
+ * update that state: the per-unit oracle behind
+ * SigilConfig::referenceShadowPath, against which commReadRun is
+ * differentially tested. reader_id is the access's consumer identity
+ * (a.call, a.ctx), interned once per access. cold may be null when the
+ * access does not need the cold record (the caller materializes it
+ * exactly when re-use or line mode will touch it).
+ */
+inline void
+commReadUnit(CommTables &t, const ClassifyEnv &env,
+             const shadow::StampTable &st, shadow::ShadowHot &s,
+             shadow::ShadowCold *c, std::uint64_t w,
+             const AccessStamp &a, shadow::StampId reader_id,
+             std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+             std::uint64_t &unique_bytes_this_access)
+{
+    if (!a.collecting) {
+        // Outside the ROI: maintain shadow state only. Clear any
+        // pending run so pre-ROI reads never leak into ROI stats.
+        if (c != nullptr)
+            c->runReads = 0;
+        s.reader = reader_id;
+        return;
+    }
+
+    if (!env.classifyEnabled) {
+        // Degradation level 2: raw byte totals continue, but per-class
+        // aggregation stops. Reader identity is still maintained so a
+        // later analysis of the shadow state remains coherent.
+        s.reader = reader_id;
+        return;
+    }
+
+    commClassifyBytes(t, env, st, s, w, a, seg_xfers,
+                      unique_bytes_this_access);
+    commReadUnitState(t, st, s, c, a.tick, reader_id, env.reuseEnabled,
+                      env.granularityShift > 0);
+}
+
+/**
+ * Read kernel of both engines: classify the part of the read
+ * [lo, hi) that falls on one chunk-clamped span run. The run is split
+ * into maximal stamp runs — consecutive units with equal (writer,
+ * reader) stamps — and each stamp run is classified once with its
+ * summed byte width; only the per-unit state (re-use runs, line
+ * totals, the reader stamp) is updated unit by unit. Produces exactly
+ * the result of commReadUnit over every unit of the run in order.
+ */
+inline void
+commReadRun(CommTables &t, const ClassifyEnv &env,
+            const shadow::StampTable &st,
+            const shadow::ShadowMemory::Run &run, vg::Addr lo, vg::Addr hi,
+            const AccessStamp &a, shadow::StampId reader_id,
+            std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+            std::uint64_t &unique_bytes_this_access)
+{
+    shadow::ShadowHot *const hot = run.hot;
+    shadow::ShadowCold *const cold = run.cold;
+    const std::size_t n = run.count;
+    if (!a.collecting) {
+        // Outside the ROI: see commReadUnit.
+        for (std::size_t i = 0; i < n; ++i) {
+            if (cold != nullptr)
+                cold[i].runReads = 0;
+            hot[i].reader = reader_id;
+        }
+        return;
+    }
+    if (!env.classifyEnabled) {
+        for (std::size_t i = 0; i < n; ++i)
+            hot[i].reader = reader_id;
+        return;
+    }
+
+    const unsigned shift = env.granularityShift;
+    const bool reuse = env.reuseEnabled;
+    std::size_t i = 0;
+    while (i < n) {
+        // The stamps are copied before the state loop below overwrites
+        // the readers, so the split and the classification both see
+        // the pre-read state.
+        const shadow::ShadowHot s = hot[i];
+        std::size_t j = i + 1;
+        while (j < n && hot[j].writer == s.writer &&
+               hot[j].reader == s.reader)
+            ++j;
+        // Bytes of [lo, hi) covered by units [first + i, first + j):
+        // only the access's two end units can be partial.
+        const vg::Addr run_lo = (run.firstUnit + i) << shift;
+        const vg::Addr run_hi = (run.firstUnit + j) << shift;
+        const std::uint64_t w =
+            std::min(hi, run_hi) - std::max(lo, run_lo);
+        commClassifyBytes(t, env, st, s, w, a, seg_xfers,
+                          unique_bytes_this_access);
+        for (std::size_t k = i; k < j; ++k) {
+            commReadUnitState(t, st, hot[k],
+                              cold != nullptr ? cold + k : nullptr, a.tick,
+                              reader_id, reuse, shift > 0);
+        }
+        i = j;
+    }
+}
+
+/**
+ * Write kernel of both engines: close the pending re-use runs of one
+ * chunk-clamped span run, then stamp every unit with writer_id. Same
+ * result as commWriteUnit over every unit of the run.
+ */
+inline void
+commWriteRun(CommTables &t, const bool &reuse_enabled,
+             const shadow::StampTable &st,
+             const shadow::ShadowMemory::Run &run,
+             shadow::StampId writer_id)
+{
+    if (reuse_enabled && run.cold != nullptr) {
+        // Close pending runs before the overwrite clobbers their
+        // reader identity; units with no recorded reader have nothing
+        // pending.
+        for (std::size_t i = 0; i < run.count; ++i) {
+            if (run.hot[i].reader != 0) {
+                commFinalizeRun(t, reuse_enabled, st, run.hot[i],
+                                run.cold + i);
+            }
+        }
+    }
+    // The stamp overwrite itself is a plain 8-byte word fill.
+    std::fill(run.hot, run.hot + run.count,
+              shadow::ShadowHot{writer_id, 0});
 }
 
 } // namespace sigil::core

@@ -316,28 +316,17 @@ ShardEngine::process(Shard &shard, const vg::ShardRecord &r)
         }
         sh.span(first, last, /*want_cold=*/false,
                 [&](shadow::ShadowMemory::Run run) {
-                    if (reuseEnabled_ && run.cold != nullptr) {
-                        for (std::size_t i = 0; i < run.count; ++i) {
-                            if (run.hot[i].reader != 0) {
-                                commFinalizeRun(shard.tables,
-                                                reuseEnabled_,
-                                                sh.stamps(), run.hot[i],
-                                                run.cold + i);
-                            }
-                        }
-                    }
-                    std::fill(run.hot, run.hot + run.count,
-                              shadow::ShadowHot{ws, 0});
+                    commWriteRun(shard.tables, reuseEnabled_, sh.stamps(),
+                                 run, ws);
                 });
         return;
     }
 
-    // Read: same per-unit byte-width clamping as the serial span walk.
-    // The piece is the access clamped to this chunk and units never
-    // span chunks, so clamping against the piece bounds yields the
-    // serial widths.
-    // Same call-collapse rule as the serial read path: with re-use
-    // off the reader call feeds nothing, so one stamp per context.
+    // Read: the piece is the access clamped to this chunk, and units
+    // never span chunks, so classifying against the piece bounds
+    // yields the serial widths. Same call-collapse rule as the serial
+    // read path: with re-use off the reader call feeds nothing, so one
+    // stamp per context.
     const shadow::StampId rs = sh.internReader(
         shadow::ReaderStamp{reuseEnabled_ ? a.call : 0, a.ctx});
     const bool want_cold = a.collecting && classifyEnabled_ &&
@@ -350,12 +339,12 @@ ShardEngine::process(Shard &shard, const vg::ShardRecord &r)
             ? &shard.tables.segXfers[a.segSeq]
             : nullptr;
     std::uint64_t unique_bytes = 0;
-    const unsigned shift = sh.granularityShift();
-    const std::uint64_t unit_bytes = sh.unitBytes();
     const vg::Addr addr = r.addr;
     const vg::Addr end_addr = r.addr + r.size;
 
     if (config_.referenceShadowPath) {
+        const unsigned shift = sh.granularityShift();
+        const std::uint64_t unit_bytes = sh.unitBytes();
         for (std::uint64_t u = first; u <= last; ++u) {
             shadow::ShadowRef s = sh.lookup(u, want_cold);
             std::uint64_t unit_lo = u << shift;
@@ -369,23 +358,8 @@ ShardEngine::process(Shard &shard, const vg::ShardRecord &r)
     } else {
         sh.span(first, last, want_cold,
                 [&](shadow::ShadowMemory::Run run) {
-                    for (std::size_t i = 0; i < run.count; ++i) {
-                        std::uint64_t u = run.firstUnit + i;
-                        std::uint64_t w = unit_bytes;
-                        if (u == first || u == last) {
-                            std::uint64_t unit_lo = u << shift;
-                            std::uint64_t unit_hi = unit_lo + unit_bytes;
-                            std::uint64_t lo =
-                                std::max<std::uint64_t>(addr, unit_lo);
-                            std::uint64_t hi = std::min<std::uint64_t>(
-                                end_addr, unit_hi);
-                            w = hi - lo;
-                        }
-                        commReadUnit(shard.tables, env, sh.stamps(),
-                                     run.hot[i],
-                                     run.cold ? run.cold + i : nullptr,
-                                     w, a, rs, xfers, unique_bytes);
-                    }
+                    commReadRun(shard.tables, env, sh.stamps(), run, addr,
+                                end_addr, a, rs, xfers, unique_bytes);
                 });
     }
 

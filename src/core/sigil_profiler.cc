@@ -192,20 +192,7 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
     }
     shadow_.span(first, last, /*want_cold=*/false,
                  [&](shadow::ShadowMemory::Run run) {
-        if (reuseEnabled_ && run.cold != nullptr) {
-            // Close pending runs before the overwrite clobbers their
-            // reader identity; units with no recorded reader have
-            // nothing pending.
-            for (std::size_t i = 0; i < run.count; ++i) {
-                if (run.hot[i].reader != 0) {
-                    commFinalizeRun(tables_, reuseEnabled_,
-                                    shadow_.stamps(), run.hot[i],
-                                    run.cold + i);
-                }
-            }
-        }
-        // The stamp overwrite itself is a plain 8-byte word fill.
-        std::fill(run.hot, run.hot + run.count, shadow::ShadowHot{ws, 0});
+        commWriteRun(tables_, reuseEnabled_, shadow_.stamps(), run, ws);
     });
 }
 
@@ -258,8 +245,6 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
 
     std::uint64_t first = shadow_.unitOf(addr);
     std::uint64_t last = shadow_.lastUnitOf(addr, size);
-    const unsigned shift = shadow_.granularityShift();
-    const std::uint64_t unit_bytes = shadow_.unitBytes();
     // One consumer identity per access, and one cold-materialization
     // decision per access (so a mid-span fidelity flip cannot make the
     // two walk paths materialize differently). The call number only
@@ -273,6 +258,8 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     if (config_.referenceShadowPath) {
         // Reference path: resolve the chunk and compute the covered
         // byte width from scratch for every unit.
+        const unsigned shift = shadow_.granularityShift();
+        const std::uint64_t unit_bytes = shadow_.unitBytes();
         for (std::uint64_t u = first; u <= last; ++u) {
             shadow::ShadowRef s = shadow_.lookup(u, want_cold);
             std::uint64_t unit_lo = u << shift;
@@ -287,24 +274,9 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     } else {
         shadow_.span(first, last, want_cold,
                      [&](shadow::ShadowMemory::Run run) {
-            for (std::size_t i = 0; i < run.count; ++i) {
-                // Every unit covers a full unit's worth of the access
-                // except possibly the two end units.
-                std::uint64_t u = run.firstUnit + i;
-                std::uint64_t w = unit_bytes;
-                if (u == first || u == last) {
-                    std::uint64_t unit_lo = u << shift;
-                    std::uint64_t unit_hi = unit_lo + unit_bytes;
-                    std::uint64_t lo =
-                        std::max<std::uint64_t>(addr, unit_lo);
-                    std::uint64_t hi =
-                        std::min<std::uint64_t>(addr + size, unit_hi);
-                    w = hi - lo;
-                }
-                commReadUnit(tables_, env, shadow_.stamps(), run.hot[i],
-                             run.cold ? run.cold + i : nullptr, w, a, rs,
-                             &state.xfers, unique_bytes_this_access);
-            }
+            commReadRun(tables_, env, shadow_.stamps(), run, addr,
+                        addr + size, a, rs, &state.xfers,
+                        unique_bytes_this_access);
         });
     }
 

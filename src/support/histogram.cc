@@ -15,23 +15,6 @@ LinearHistogram::LinearHistogram(std::uint64_t bin_width,
 }
 
 void
-LinearHistogram::add(std::uint64_t value, std::uint64_t count)
-{
-    std::size_t bin = static_cast<std::size_t>(value / binWidth_);
-    if (bin >= maxBins_) {
-        overflow_ += count;
-    } else {
-        if (bin >= bins_.size())
-            bins_.resize(bin + 1, 0);
-        bins_[bin] += count;
-    }
-    total_ += count;
-    sumValues_ += value * count;
-    if (value > maxValue_)
-        maxValue_ = value;
-}
-
-void
 LinearHistogram::merge(const LinearHistogram &other)
 {
     if (other.binWidth_ != binWidth_)
@@ -84,20 +67,6 @@ BoundsHistogram::BoundsHistogram(std::vector<std::uint64_t> bounds)
         if (bounds_[i] <= bounds_[i - 1])
             fatal("BoundsHistogram: bounds must be strictly ascending");
     }
-}
-
-void
-BoundsHistogram::add(std::uint64_t value, std::uint64_t count)
-{
-    std::size_t bin = bounds_.size();
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-        if (value <= bounds_[i]) {
-            bin = i;
-            break;
-        }
-    }
-    counts_[bin] += count;
-    total_ += count;
 }
 
 void

@@ -37,8 +37,26 @@ class LinearHistogram
     explicit LinearHistogram(std::uint64_t bin_width = 1000,
                              std::size_t max_bins = 1 << 20);
 
-    /** Record one sample, weighted by count. */
-    void add(std::uint64_t value, std::uint64_t count = 1);
+    /**
+     * Record one sample, weighted by count. Inline: the profiler adds
+     * one re-use lifetime per finalized shadow unit.
+     */
+    void
+    add(std::uint64_t value, std::uint64_t count = 1)
+    {
+        std::size_t bin = static_cast<std::size_t>(value / binWidth_);
+        if (bin >= maxBins_) {
+            overflow_ += count;
+        } else {
+            if (bin >= bins_.size())
+                bins_.resize(bin + 1, 0);
+            bins_[bin] += count;
+        }
+        total_ += count;
+        sumValues_ += value * count;
+        if (value > maxValue_)
+            maxValue_ = value;
+    }
 
     /** Merge another histogram with the same bin width into this one. */
     void merge(const LinearHistogram &other);
@@ -96,7 +114,24 @@ class BoundsHistogram
     /** @param bounds Strictly ascending inclusive upper bounds. */
     explicit BoundsHistogram(std::vector<std::uint64_t> bounds);
 
-    void add(std::uint64_t value, std::uint64_t count = 1);
+    /**
+     * Record one sample, weighted by count. Inline: the profiler adds
+     * one re-use count per finalized shadow unit.
+     */
+    void
+    add(std::uint64_t value, std::uint64_t count = 1)
+    {
+        std::size_t bin = bounds_.size();
+        for (std::size_t i = 0; i < bounds_.size(); ++i) {
+            if (value <= bounds_[i]) {
+                bin = i;
+                break;
+            }
+        }
+        counts_[bin] += count;
+        total_ += count;
+    }
+
     void merge(const BoundsHistogram &other);
 
     /** Number of bins, including the final unbounded one. */

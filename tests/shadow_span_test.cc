@@ -10,15 +10,23 @@
  * (aggregates, communication edges, thread edges, re-use breakdowns,
  * lifetime histograms, shadow stats) and event traces must be
  * bitwise identical.
+ *
+ * The mixed-stamp cases aim the same comparison at the run kernel's
+ * stamp-run split: single multi-unit reads whose units carry several
+ * distinct (writer, reader) stamp pairs, on the serial engine and at
+ * four shards, plus a chunk-crossing read whose fidelity degrades
+ * between its two chunk runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "vg/guest.hh"
 
@@ -194,6 +202,250 @@ INSTANTIATE_TEST_SUITE_P(
             name += "_roi";
         return name;
     });
+
+struct MixedParams
+{
+    unsigned granularityShift;
+    bool roiOnly;
+    bool collectEvents;
+};
+
+/** Guest address of the chunk boundary two chunks above the heap base. */
+vg::Addr
+chunkBoundary(unsigned granularity_shift)
+{
+    const vg::Addr chunk_bytes =
+        vg::Addr{shadow::ShadowMemory::kChunkUnits} << granularity_shift;
+    return (vg::kHeapBase / chunk_bytes + 2) * chunk_bytes;
+}
+
+/**
+ * Lay down a 32-unit block whose units carry many stamp pairs, then
+ * read it whole. Unit layout (u = one shadow unit):
+ *   [0,16)  producer, with [4,8) overwritten by patch_a and 2u bytes
+ *           from 10u+1 by patch_b (in line mode: partial lines);
+ *   [16,24) never written (kUninitProducer);
+ *   [24,28) written by remote on another thread (a thread edge);
+ *   [28,32) never written.
+ * A first read of [2,6) by consumer leaves units that share a writer
+ * but not a reader. The same call then re-reads (re-use runs
+ * continue), a new call of consumer re-reads (runs finalize), and the
+ * producer reads its own bytes back (local traffic).
+ */
+void
+driveMixedBlock(vg::Guest &g, const MixedParams &p, vg::Addr base,
+                vg::ThreadId remote_tid)
+{
+    const vg::Addr u = vg::Addr{1} << p.granularityShift;
+    g.enter("producer");
+    g.write(base, static_cast<unsigned>(16 * u));
+    g.leave();
+    g.enter("patch_a");
+    g.write(base + 4 * u, static_cast<unsigned>(4 * u));
+    g.leave();
+    g.enter("patch_b");
+    g.write(base + 10 * u + 1, static_cast<unsigned>(2 * u));
+    g.leave();
+    g.switchThread(remote_tid);
+    g.enter("remote");
+    g.write(base + 24 * u, static_cast<unsigned>(4 * u));
+    g.leave();
+    g.switchThread(0);
+
+    g.enter("consumer");
+    g.read(base + 2 * u, static_cast<unsigned>(4 * u));
+    // Unaligned ends: the first and last units are partial.
+    g.read(base + 3, static_cast<unsigned>(30 * u - 5));
+    g.read(base, static_cast<unsigned>(32 * u));
+    g.leave();
+
+    // ROI off mid-stream: the read maintains shadow state only.
+    if (p.roiOnly)
+        g.roiEnd();
+    g.enter("consumer");
+    g.read(base + 1, static_cast<unsigned>(20 * u));
+    g.leave();
+    if (p.roiOnly)
+        g.roiBegin();
+
+    g.enter("consumer");
+    g.read(base, static_cast<unsigned>(32 * u));
+    g.enter("producer");
+    g.read(base + 5, static_cast<unsigned>(12 * u));
+    g.leave();
+    g.read(base + u, static_cast<unsigned>(31 * u));
+    g.leave();
+    if (p.collectEvents)
+        g.barrier();
+}
+
+/** One run of the mixed-stamp workload; serialized outputs. */
+void
+runMixed(const MixedParams &p, bool reference_path, unsigned shard_count,
+         std::string &profile, std::string &events)
+{
+    core::SigilConfig cfg;
+    cfg.granularityShift = p.granularityShift;
+    cfg.collectEvents = p.collectEvents;
+    cfg.roiOnly = p.roiOnly;
+    cfg.referenceShadowPath = reference_path;
+    vg::GuestConfig gc;
+    gc.shardCount = shard_count;
+
+    vg::Guest g("mixed_stamps", gc);
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    const vg::ThreadId remote = g.spawnThread();
+    g.enter("main");
+    if (p.roiOnly)
+        g.roiBegin();
+    const vg::Addr u = vg::Addr{1} << p.granularityShift;
+    // One block inside a chunk, one straddling a chunk boundary (two
+    // span runs per read; two shards at shardCount 4).
+    driveMixedBlock(g, p, vg::kHeapBase + 64 * u, remote);
+    driveMixedBlock(g, p, chunkBoundary(p.granularityShift) - 16 * u,
+                    remote);
+    g.leave();
+    g.finish();
+
+    core::SigilProfile sp = prof.takeProfile();
+    // Guard against the vacuous pass: the block must have produced
+    // cross-function edges and a cross-thread edge.
+    EXPECT_GE(sp.edges.size(), 4u);
+    EXPECT_FALSE(sp.threadEdges.empty());
+    std::ostringstream pos;
+    core::writeProfile(pos, sp);
+    profile = pos.str();
+    std::ostringstream eos;
+    core::writeEvents(eos, prof.events());
+    events = eos.str();
+}
+
+class ShadowSpanMixedStamps : public ::testing::TestWithParam<MixedParams>
+{};
+
+TEST_P(ShadowSpanMixedStamps, RunKernelMatchesPerUnitReference)
+{
+    const MixedParams &p = GetParam();
+    std::string ref_profile, ref_events;
+    runMixed(p, true, 1, ref_profile, ref_events);
+    for (unsigned shards : {1u, 4u}) {
+        for (bool reference : {false, true}) {
+            if (shards == 1 && reference)
+                continue;
+            std::string profile, events;
+            runMixed(p, reference, shards, profile, events);
+            EXPECT_EQ(ref_profile, profile)
+                << "shards=" << shards << " reference=" << reference;
+            EXPECT_EQ(ref_events, events)
+                << "shards=" << shards << " reference=" << reference;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, ShadowSpanMixedStamps,
+    ::testing::Values(MixedParams{0, false, false},
+                      MixedParams{0, true, false},
+                      MixedParams{0, false, true},
+                      MixedParams{0, true, true},
+                      MixedParams{6, false, false},
+                      MixedParams{6, true, true}),
+    [](const ::testing::TestParamInfo<MixedParams> &info) {
+        const MixedParams &p = info.param;
+        std::string name = "g" + std::to_string(p.granularityShift);
+        if (p.roiOnly)
+            name += "_roi";
+        if (p.collectEvents)
+            name += "_events";
+        return name;
+    });
+
+/** Silences the degradation warnings of the fidelity-flip test. */
+class QuietLogs
+{
+  public:
+    QuietLogs() : saved_(setLogSink(&swallow)) {}
+    ~QuietLogs() { setLogSink(saved_); }
+
+  private:
+    static void
+    swallow(LogLevel level, const std::string &msg)
+    {
+        if (level == LogLevel::Panic || level == LogLevel::Fatal)
+            std::fprintf(stderr, "%s\n", msg.c_str());
+    }
+    LogSink saved_;
+};
+
+/**
+ * Chunk-crossing reads under allocation-failure injection: the first
+ * chunk run is classified before the second chunk's allocation fails
+ * and degrades fidelity, so each read is classified at two fidelity
+ * levels (re-use on, then off; classification on, then off).
+ */
+void
+runFidelityFlip(bool reference_path, std::string &profile,
+                std::string &events, int &level)
+{
+    core::SigilConfig cfg;
+    cfg.collectEvents = true;
+    cfg.referenceShadowPath = reference_path;
+    vg::Guest g("fidelity_flip");
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    bool fail = false;
+    prof.shadowMemory().setAllocationFailureInjector(
+        [&fail] { return fail; });
+
+    const vg::Addr b = chunkBoundary(0);
+    const vg::Addr chunk = shadow::ShadowMemory::kChunkUnits;
+    g.enter("main");
+    g.enter("producer");
+    g.write(b - 64, 64);
+    g.leave();
+    g.enter("consumer");
+    g.read(b - 64, 40);
+    g.read(b - 48, 48);
+    g.leave();
+    g.enter("consumer");
+    fail = true;
+    // Resident chunk, then a fresh one whose allocation exhausts the
+    // injector: re-use tracking drops between the two runs.
+    g.read(b - 32, 64);
+    // The fresh chunk is resident now, so this write allocates nothing.
+    g.enter("producer");
+    g.write(b + chunk - 16, 16);
+    g.leave();
+    // Same again one chunk up: classification drops mid-read.
+    g.read(b + chunk - 24, 48);
+    fail = false;
+    g.read(b - 40, 40);
+    g.leave();
+    g.leave();
+    g.finish();
+    level = prof.degradationLevel();
+
+    std::ostringstream pos;
+    core::writeProfile(pos, prof.takeProfile());
+    profile = pos.str();
+    std::ostringstream eos;
+    core::writeEvents(eos, prof.events());
+    events = eos.str();
+}
+
+TEST(ShadowSpanMixedStamps, FidelityFlipBetweenChunkRunsMatchesReference)
+{
+    QuietLogs quiet;
+    std::string ref_profile, ref_events, run_profile, run_events;
+    int ref_level = 0, run_level = 0;
+    runFidelityFlip(true, ref_profile, ref_events, ref_level);
+    runFidelityFlip(false, run_profile, run_events, run_level);
+    EXPECT_EQ(ref_level, 2);
+    EXPECT_EQ(run_level, 2);
+    EXPECT_EQ(ref_profile, run_profile);
+    EXPECT_EQ(ref_events, run_events);
+}
 
 } // namespace
 } // namespace sigil
