@@ -2,10 +2,9 @@
  * @file
  * Microbenchmarks of the event transport (google-benchmark): per-event
  * virtual dispatch vs. the batched SoA transport (sync and async), and
- * text vs. binary trace replay. These back the batching design the same
- * way micro_shadow backs the span-oriented shadow path: the batch
- * transport must buy real end-to-end profiling throughput, and the
- * binary format must replay several times faster than text.
+ * SGB3 trace recording and replay. These back the batching design the
+ * same way micro_shadow backs the span-oriented shadow path: the batch
+ * transport must buy real end-to-end profiling throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -215,58 +214,33 @@ BM_FullStackWorkload(benchmark::State &state)
 }
 BENCHMARK(BM_FullStackWorkload)->Arg(0)->Arg(1)->Arg(2);
 
-/** Trace format selector for the benchmark Args: 0 = text,
- *  1 = SGB1 (unframed), 2 = SGB2 (checksummed frames),
- *  3 = SGB3 (checksummed + LZ-compressed frames). */
+/** The benchmark workload recorded once as an SGB3 trace. */
 const std::string &
-recordedTrace(int format)
+recordedTrace()
 {
-    static std::string text, sgb1, sgb2, sgb3;
-    if (text.empty()) {
-        std::ostringstream tos;
-        std::ostringstream b1os(std::ios::binary);
-        std::ostringstream b2os(std::ios::binary);
-        std::ostringstream b3os(std::ios::binary);
+    static const std::string trace = [] {
+        std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::TraceRecorder trec(tos);
-        vg::BinaryTraceRecorder b1rec(b1os, vg::TraceFormat::SGB1);
-        vg::BinaryTraceRecorder b2rec(b2os, vg::TraceFormat::SGB2);
-        vg::BinaryTraceRecorder b3rec(b3os, vg::TraceFormat::SGB3);
-        g.addTool(&trec);
-        g.addTool(&b1rec);
-        g.addTool(&b2rec);
-        g.addTool(&b3rec);
+        vg::BinaryTraceRecorder rec(os);
+        g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
-        text = tos.str();
-        sgb1 = b1os.str();
-        sgb2 = b2os.str();
-        sgb3 = b3os.str();
-    }
-    return format == 3 ? sgb3
-           : format == 2 ? sgb2
-           : format == 1 ? sgb1
-                         : text;
+        return os.str();
+    }();
+    return trace;
 }
 
 /**
- * Recording cost per format: SGB1 vs. SGB2 vs. SGB3. The SGB2 column
- * prices the robustness tax — per-block CRC32C (payload + header) and
- * the framing fields — which must stay within a few percent of SGB1.
- * The SGB3 column adds per-frame LZ compression on top; its
- * `trace_bytes` counter against SGB2's shows the size win compression
- * buys.
+ * Recording cost: event encoding, per-frame LZ compression and both
+ * CRC32Cs, all on the guest thread. `trace_bytes` is the recorded size.
  */
 void
 BM_TraceRecordBinary(benchmark::State &state)
 {
-    auto format = state.range(0) == 1   ? vg::TraceFormat::SGB1
-                  : state.range(0) == 3 ? vg::TraceFormat::SGB3
-                                        : vg::TraceFormat::SGB2;
     std::size_t bytes = 0;
     for (auto _ : state) {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::BinaryTraceRecorder rec(os, format);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
         bytes = os.str().size();
@@ -278,13 +252,12 @@ BM_TraceRecordBinary(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * bytes));
 }
-BENCHMARK(BM_TraceRecordBinary)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_TraceRecordBinary);
 
 /**
- * Synchronous vs. background-writer recording. Args: {format: 2 SGB2,
- * 3 SGB3} x {writer: 0 sync, 1 async}. Async moves CRC32C and (for
- * SGB3) LZ compression onto the writer thread, so the guest thread
- * only appends to the current block and enqueues finished ones; the
+ * Synchronous vs. background-writer recording. Arg: writer (0 sync,
+ * 1 async). Async moves LZ compression and CRC32C onto the writer
+ * thread, so the guest thread only appends to the current block and enqueues finished ones; the
  * bytes are bit-identical either way (`trace_bytes` must match across
  * the writer axis). `queue_depth_peak` shows how far the guest ran
  * ahead of the writer before backpressure (capped by
@@ -294,9 +267,7 @@ BENCHMARK(BM_TraceRecordBinary)->Arg(1)->Arg(2)->Arg(3);
 void
 BM_TraceRecordAsync(benchmark::State &state)
 {
-    auto format = state.range(0) == 3 ? vg::TraceFormat::SGB3
-                                      : vg::TraceFormat::SGB2;
-    bool async = state.range(1) != 0;
+    bool async = state.range(0) != 0;
     std::size_t bytes = 0;
     std::uint64_t depth_peak = 0;
     for (auto _ : state) {
@@ -304,7 +275,7 @@ BM_TraceRecordAsync(benchmark::State &state)
         vg::GuestConfig gc;
         gc.asyncWriter = async;
         vg::Guest g("bench", gc);
-        vg::BinaryTraceRecorder rec(os, format);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
         bytes = os.str().size();
@@ -318,82 +289,65 @@ BM_TraceRecordAsync(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * bytes));
 }
-BENCHMARK(BM_TraceRecordAsync)
-    ->ArgsProduct({{2, 3}, {0, 1}})
-    ->UseRealTime();
+BENCHMARK(BM_TraceRecordAsync)->Arg(0)->Arg(1)->UseRealTime();
 
 /**
- * Trace replay, parsing cost only (no tools attached): text vs. the
- * binary framings. Args: {format: 0 text, 1 SGB1, 2 SGB2, 3 SGB3}.
- * The SGB2 column includes per-block CRC verification; SGB3 adds
- * per-frame decompression.
+ * Trace replay, parsing cost only (no tools attached): per-frame CRC
+ * verification, decompression and event decoding.
  */
 void
 BM_TraceReplayParse(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(0));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     std::uint64_t events = 0;
     for (auto _ : state) {
-        std::istringstream is(trace, format ? std::ios::binary
-                                            : std::ios::in);
+        std::istringstream is(trace, std::ios::binary);
         vg::Guest g("bench");
-        events = format ? vg::replayBinaryTrace(is, g)
-                        : vg::replayTrace(is, g);
+        events = vg::replayBinaryTrace(is, g);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * events));
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_TraceReplayParse)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_TraceReplayParse);
 
 /**
  * Trace replay feeding a Sigil profiler — the "collect once, analyze
- * many times" loop this PR accelerates end to end. Args: {binary
- * format?, batched guest?, granularity shift}. The headline comparison
- * is {0,0,s} (text format, per-event dispatch: the pre-PR pipeline)
- * against {1,1,s} (binary format, batched dispatch).
+ * many times" loop end to end. Args: {batched guest?, granularity
+ * shift}.
  */
 void
 BM_TraceReplayProfiled(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(0));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     core::SigilConfig cfg;
-    cfg.granularityShift = static_cast<unsigned>(state.range(2));
+    cfg.granularityShift = static_cast<unsigned>(state.range(1));
     for (auto _ : state) {
-        std::istringstream is(trace, format ? std::ios::binary
-                                            : std::ios::in);
-        vg::Guest g("bench", modeConfig(state.range(1)));
+        std::istringstream is(trace, std::ios::binary);
+        vg::Guest g("bench", modeConfig(state.range(0)));
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
-        if (format)
-            vg::replayBinaryTrace(is, g);
-        else
-            vg::replayTrace(is, g);
+        vg::replayBinaryTrace(is, g);
         benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_TraceReplayProfiled)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 6}});
+BENCHMARK(BM_TraceReplayProfiled)->ArgsProduct({{0, 1}, {0, 6}});
 
 /**
  * Frame-parallel decode, parsing cost only: a zero-copy
  * BinaryReplaySession over the in-memory trace with decodeThreads
  * workers CRC-verifying and decoding frames ahead of the consumer.
- * Args: {decodeThreads, format: 2 SGB2, 3 SGB3}. Threads=1 is the
- * serial inline decoder — the baseline the sweep is judged against
+ * Arg: decodeThreads. Threads=1 is the serial inline decoder — the baseline the sweep is judged against
  * (acceptance: >= 2.5x items/sec at 4 threads on a >= 4-core host).
  * Real time: past threads=1 the decode happens on the workers.
  */
 void
 BM_ParallelDecode(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(1));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     std::uint64_t events = 0;
     for (auto _ : state) {
         vg::GuestConfig gc;
@@ -409,21 +363,18 @@ BM_ParallelDecode(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecode)
-    ->ArgsProduct({{1, 2, 4, 8}, {2, 3}})->UseRealTime();
+BENCHMARK(BM_ParallelDecode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /**
  * The same sweep end to end: parallel decode feeding a batched-guest
  * Sigil profiler. Delivery is serialized through the guest, so this
- * shows how much of the profiled pipeline the decode stage was —
- * and that SGB3 decompression stays <= 5% behind SGB2 once decode
- * overlaps analysis. Args as BM_ParallelDecode.
+ * shows how much of the profiled pipeline the decode stage was. Arg
+ * as BM_ParallelDecode.
  */
 void
 BM_ParallelDecodeProfiled(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(1));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     for (auto _ : state) {
         vg::GuestConfig gc;
         gc.batchEvents = true;
@@ -443,14 +394,18 @@ BM_ParallelDecodeProfiled(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
 BENCHMARK(BM_ParallelDecodeProfiled)
-    ->ArgsProduct({{1, 2, 4, 8}, {2, 3}})->UseRealTime();
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 /**
- * Checkpointed replay smoke benchmark: the full SGB2 + profiler replay
- * with periodic state snapshots, against BM_TraceReplayProfiled/2/1/0
+ * Checkpointed replay smoke benchmark: the full SGB3 + profiler replay
+ * with periodic state snapshots, against BM_TraceReplayProfiled/1/0
  * as the no-checkpoint baseline. Arg: checkpoint interval in blocks.
  */
-/** SGB2 trace with finer-grained blocks than the default, so a
+/** SGB3 trace with finer-grained blocks than the default, so a
  *  checkpoint interval of a few blocks fires many times over the
  *  50k-event workload. */
 const std::string &
@@ -459,7 +414,7 @@ checkpointTrace()
     static const std::string trace = [] {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2, 512);
+        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3, 512);
         g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
         return os.str();
@@ -582,7 +537,7 @@ shardedTrace()
     static const std::string trace = [] {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveShardWorkload(g, kShardWorkloadIters);
         return os.str();
@@ -591,7 +546,7 @@ shardedTrace()
 }
 
 /**
- * Address-sharded profiled replay: SGB2 trace into a full-fidelity
+ * Address-sharded profiled replay: SGB3 trace into a full-fidelity
  * (re-use mode) Sigil profiler. Arg: shardCount. Arg(1) is the serial
  * engine and the baseline the sweep is judged against; N > 1 runs N
  * shard workers. Real time, since the work happens on the workers.

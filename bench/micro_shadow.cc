@@ -281,15 +281,19 @@ BM_ReuseDistanceAccess(benchmark::State &state)
 }
 BENCHMARK(BM_ReuseDistanceAccess);
 
-void
-BM_TraceReplayThroughput(benchmark::State &state)
+/**
+ * Fixed synthetic SGB3 trace replayed by the BM_TraceReplayThroughput
+ * pair, recorded once: 20k random 8-byte write/read pairs over 4 KiB
+ * plus a short call every 16 iterations.
+ */
+const std::string &
+throughputTrace(std::uint64_t &events)
 {
-    // Record a fixed synthetic trace once; replay it per iteration.
-    std::stringstream trace;
-    std::uint64_t events = 0;
-    {
+    static std::uint64_t recorded = 0;
+    static const std::string trace = [] {
+        std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(os);
         g.addTool(&recorder);
         Rng rng(6);
         g.enter("main");
@@ -304,16 +308,25 @@ BM_TraceReplayThroughput(benchmark::State &state)
         }
         g.leave();
         g.finish();
-        events = recorder.eventsWritten();
-    }
-    std::string text = trace.str();
+        recorded = recorder.eventsWritten();
+        return os.str();
+    }();
+    events = recorded;
+    return trace;
+}
+
+void
+BM_TraceReplayThroughput(benchmark::State &state)
+{
+    std::uint64_t events = 0;
+    const std::string &trace = throughputTrace(events);
     std::uint64_t peak = 0;
     for (auto _ : state) {
-        std::stringstream in(text);
+        std::istringstream in(trace, std::ios::binary);
         vg::Guest g2("bench");
         core::SigilProfiler prof;
         g2.addTool(&prof);
-        benchmark::DoNotOptimize(vg::replayTrace(in, g2));
+        benchmark::DoNotOptimize(vg::replayBinaryTrace(in, g2));
         peak = prof.shadowPeakBytes();
     }
     state.counters["shadow_peak_bytes"] = static_cast<double>(peak);
@@ -326,36 +339,16 @@ BENCHMARK(BM_TraceReplayThroughput);
 void
 BM_TraceReplayThroughputReference(benchmark::State &state)
 {
-    std::stringstream trace;
     std::uint64_t events = 0;
-    {
-        vg::Guest g("bench");
-        vg::TraceRecorder recorder(trace);
-        g.addTool(&recorder);
-        Rng rng(6);
-        g.enter("main");
-        for (int i = 0; i < 20000; ++i) {
-            if ((i & 15) == 0) {
-                g.enter("fn");
-                g.iop(4);
-                g.leave();
-            }
-            g.write(0x10000 + rng.nextBounded(4096), 8);
-            g.read(0x10000 + rng.nextBounded(4096), 8);
-        }
-        g.leave();
-        g.finish();
-        events = recorder.eventsWritten();
-    }
-    std::string text = trace.str();
+    const std::string &trace = throughputTrace(events);
     core::SigilConfig cfg;
     cfg.referenceShadowPath = true;
     for (auto _ : state) {
-        std::stringstream in(text);
+        std::istringstream in(trace, std::ios::binary);
         vg::Guest g2("bench");
         core::SigilProfiler prof(cfg);
         g2.addTool(&prof);
-        benchmark::DoNotOptimize(vg::replayTrace(in, g2));
+        benchmark::DoNotOptimize(vg::replayBinaryTrace(in, g2));
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * events));

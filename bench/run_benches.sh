@@ -18,8 +18,8 @@
 # BENCH_dispatch.json includes the BM_ShardedReplay shard sweep
 # (Arg = shardCount; Arg 1 = the serial engine, the baseline; Args
 # 2/4/8 = shard worker counts), the BM_ParallelDecode{,Profiled}
-# decode sweeps (decodeThreads 1/2/4/8 x SGB2/SGB3; parse-only and
-# profiled end to end), plus the BM_ServerQueryThroughput sigild
+# decode sweeps (Arg = decodeThreads 1/2/4/8 over the SGB3 trace;
+# parse-only and profiled end to end), plus the BM_ServerQueryThroughput sigild
 # sweep (Arg = concurrent query clients over the daemon's
 # Unix-domain socket; items/sec is end-to-end requests per second
 # through framing, dispatch, catalog rendering, and the socket

@@ -46,5 +46,32 @@ if(NOT corrupt_err MATCHES "error:")
         "stderr:\n${corrupt_err}")
 endif()
 
+# Case 3: retired trace formats (text, SGB1, SGB2). Only SGB3 is
+# readable; each of these salvages zero events and must fail the run.
+set(retired_text "sigil-trace\t1\np\tdedup\nF\t0\tmain\nE\t0\nL\nend\n")
+set(retired_names text sgb1 sgb2)
+set(retired_heads "${retired_text}" "SGB1" "SGB2")
+foreach(i RANGE 2)
+    list(GET retired_names ${i} name)
+    list(GET retired_heads ${i} head)
+    file(WRITE "${WORK_DIR}/retired_${name}.trace" "${head}${garbage}")
+    execute_process(
+        COMMAND "${EXAMPLE}" --replay "${WORK_DIR}/retired_${name}.trace"
+        RESULT_VARIABLE retired_rc
+        OUTPUT_VARIABLE retired_out
+        ERROR_VARIABLE retired_err)
+    if(retired_rc EQUAL 0)
+        message(FATAL_ERROR
+            "replay of a retired ${name} trace exited 0; "
+            "stdout:\n${retired_out}")
+    endif()
+    if(NOT retired_err MATCHES "error:")
+        message(FATAL_ERROR
+            "replay of a retired ${name} trace printed no error "
+            "message; stderr:\n${retired_err}")
+    endif()
+endforeach()
+
 message(STATUS "error-path exit codes verified "
-               "(missing rc=${missing_rc}, corrupt rc=${corrupt_rc})")
+               "(missing rc=${missing_rc}, corrupt rc=${corrupt_rc}, "
+               "retired formats rejected)")

@@ -205,9 +205,7 @@ main(int argc, char **argv)
     }
 
     // Phase 3: replay the raw trace into a different profiler mode.
-    // replayTraceFile() sniffs the format, so the same call reads this
-    // binary trace or a legacy text one. Salvage mode tolerates a
-    // damaged file (a crash mid-recording, a bad sector) and the
+    // Salvage mode tolerates a damaged file (a crash mid-recording, a bad sector) and the
     // report says exactly what was recovered and whether the trace
     // ends in a clean-shutdown trailer.
     {

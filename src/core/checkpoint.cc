@@ -146,11 +146,11 @@ buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
     return sink.take();
 }
 
-/** Inverse of buildSnapshot(); false when the payload does not match. */
+/** Apply one snapshot payload; false when it does not match. */
 bool
-restoreSnapshot(const std::string &payload, const TraceBinding &binding,
-                vg::Guest &guest, SigilProfiler &profiler,
-                vg::BinaryReplaySession &session)
+applySnapshot(const std::string &payload, const TraceBinding &binding,
+              vg::Guest &guest, SigilProfiler &profiler,
+              vg::BinaryReplaySession &session)
 {
     ByteSource src(payload);
     TraceBinding saved;
@@ -163,10 +163,34 @@ restoreSnapshot(const std::string &payload, const TraceBinding &binding,
 }
 
 /**
+ * Inverse of buildSnapshot(); false, with the caller's objects
+ * untouched, when the payload does not match this replay. A restore
+ * that fails part-way keeps the sections it already applied — a
+ * mid-stream guest in front of a profiler of another configuration,
+ * say — and the replay would then start "fresh" on that state. So the
+ * payload is first applied to scratch copies, and only a snapshot that
+ * restores completely reaches the caller's guest and profiler.
+ */
+bool
+restoreSnapshot(const std::string &payload, const TraceBinding &binding,
+                std::string_view data, const vg::ReplayOptions &options,
+                vg::Guest &guest, SigilProfiler &profiler,
+                vg::BinaryReplaySession &session)
+{
+    vg::Guest scratch_guest(guest.programName(), guest.config());
+    SigilProfiler scratch_profiler(profiler.config());
+    scratch_guest.addTool(&scratch_profiler);
+    vg::BinaryReplaySession scratch_session(data, scratch_guest, options);
+    return applySnapshot(payload, binding, scratch_guest,
+                         scratch_profiler, scratch_session) &&
+           applySnapshot(payload, binding, guest, profiler, session);
+}
+
+/**
  * Shared core: checkpointed replay directly over a byte view (an
  * mmap'd file or a slurped stream). The binding hashes the raw stored
- * bytes, so it is identical whether the trace arrived as a stream, a
- * mapping, or a compressed (SGB3) file.
+ * bytes, so it is identical whether the trace arrived as a stream or a
+ * mapping.
  */
 vg::ReplayReport
 replayViewWithCheckpoints(std::string_view data, vg::Guest &guest,
@@ -185,18 +209,16 @@ replayViewWithCheckpoints(std::string_view data, vg::Guest &guest,
 
     // Resume from the newest valid checkpoint that matches this trace
     // and configuration; a corrupt or torn newest file falls back to
-    // the rotated previous one. Restore failure part-way through can
-    // leave guest/profiler partially written, but the caller handed us
-    // freshly constructed ones and both restores re-assign (never
-    // merge), so the later attempt starts clean.
+    // the rotated previous one, and when neither matches the replay
+    // starts from the beginning on the untouched guest and profiler.
     if (!config.path.empty()) {
         for (const std::string &candidate :
              {config.path, config.path + ".prev"}) {
             auto payload = loadCheckpointFile(candidate);
             if (!payload)
                 continue;
-            if (restoreSnapshot(*payload, binding, guest, profiler,
-                                session)) {
+            if (restoreSnapshot(*payload, binding, data, options, guest,
+                                profiler, session)) {
                 st.resumed = true;
                 st.resumeBlocks = session.blocksProcessed();
                 break;

@@ -6,7 +6,7 @@
  * preemption, a crash in unrelated code — and restarting a multi-hour
  * analysis from the beginning wastes the "collect once, analyze many"
  * economics the trace format is built around. The checkpoint layer
- * drives an SGB2 replay through BinaryReplaySession and, every N event
+ * drives an SGB3 replay through BinaryReplaySession and, every N event
  * blocks, snapshots the complete replay state to a file:
  *
  *   - the guest (function registry, context tree, call stacks, virtual
@@ -27,12 +27,12 @@
  *
  * Restored replays are bit-identical to uninterrupted ones: the
  * profiler restores shadow chunks in LRU order (reproducing future
- * eviction decisions) and SGB2 resets its address-delta chain at every
+ * eviction decisions) and SGB3 resets its address-delta chain at every
  * block boundary (so decoding resumes cleanly mid-stream).
  *
  * Sharded replays (GuestConfig::shardCount > 1) fold their
  * shard-partial state before every snapshot, so the profiler body is
- * engine-independent (version 2 merely records the shard count,
+ * engine-independent (it merely records the shard count,
  * docs/FORMATS.md §5.1): snapshots restore across engines and shard
  * counts in both directions, still bit-identically.
  */
@@ -81,7 +81,7 @@ struct CheckpointStats
 };
 
 /**
- * Replay an SGB2 trace with periodic checkpoints.
+ * Replay an SGB3 trace with periodic checkpoints.
  *
  * The guest must be freshly constructed with the profiler attached
  * (batched/async guest configurations are not resumable and are

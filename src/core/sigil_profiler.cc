@@ -906,6 +906,13 @@ SigilProfiler::takeProfile() const
 
 namespace {
 
+/**
+ * Profiler checkpoint body version (docs/FORMATS.md §5.1): interned
+ * stamp table plus chunk-grouped stamp-id units. restoreState()
+ * rejects every other version byte.
+ */
+constexpr std::uint8_t kStateVersion = 3;
+
 void
 putLinearHistogram(ByteSink &sink, const LinearHistogram &h)
 {
@@ -1037,18 +1044,6 @@ getComputeEvent(ByteSource &src, ComputeEvent &c)
 void
 SigilProfiler::saveState(ByteSink &sink)
 {
-    saveStateImpl(sink, 3);
-}
-
-void
-SigilProfiler::saveStateLegacy(ByteSink &sink)
-{
-    saveStateImpl(sink, engine_ ? 2 : 1);
-}
-
-void
-SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
-{
     if (engine_) {
         // Fold everything shard-side into the authoritative tables so
         // the serialized body is engine-independent (and restorable
@@ -1058,16 +1053,10 @@ SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
         mergeOpenSegXfers();
     }
 
-    // Version 2 differs from 1 only by recording the shard count of
-    // the saving run (informational); the body layout is identical.
-    // Version 3 always records the shard count (1 when serial) and
-    // replaces the per-unit identity tuples with the interned stamp
-    // table plus chunk-grouped stamp-id units.
-    sink.u8(version);
-    if (version >= 3)
-        sink.varint(engine_ ? engine_->shardCount() : 1);
-    else if (engine_)
-        sink.varint(engine_->shardCount());
+    // Body version 3, then the shard count of the saving run (1 when
+    // serial; informational, the body is engine-independent).
+    sink.u8(kStateVersion);
+    sink.varint(engine_ ? engine_->shardCount() : 1);
 
     // Config echo: a checkpoint is only meaningful for the identical
     // collection configuration (referenceShadowPath is excluded — the
@@ -1169,63 +1158,8 @@ SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
     sink.u64(st.evictions);
     sink.u64(st.allocFailures);
 
-    if (version < 3) {
-        // Legacy body: flat unit list in recency order, identity
-        // tuples inline (resolved back from the stamp table).
-        const auto putUnitLegacy = [&](const shadow::StampTable &table,
-                                       std::uint64_t unit,
-                                       shadow::ShadowRef obj) {
-            const shadow::WriterStamp &w = table.writer(obj.hot.writer);
-            const shadow::ReaderStamp &r = table.reader(obj.hot.reader);
-            sink.varint(unit);
-            sink.u64(w.seq);
-            sink.u64(0); // legacy writer-call slot; no consumer
-            sink.u64(r.call);
-            sink.u32(static_cast<std::uint32_t>(w.ctx));
-            sink.u32(static_cast<std::uint32_t>(r.ctx));
-            sink.u32(w.thread);
-            sink.u64(obj.cold ? obj.cold->runFirstRead : 0);
-            sink.u64(obj.cold ? obj.cold->runLastRead : 0);
-            sink.u64(obj.cold ? obj.cold->totalAccesses : 0);
-            sink.u32(obj.cold ? obj.cold->runReads : 0);
-        };
-        if (engine_) {
-            std::uint64_t unit_count = 0;
-            engine_->planner().forEachChunk(
-                [&](std::uint64_t index, bool) {
-                    engine_->shadowOf(engine_->shardOf(index))
-                        .forEachInChunk(
-                            index,
-                            [&](std::uint64_t, shadow::ShadowRef) {
-                                ++unit_count;
-                            });
-                });
-            sink.varint(unit_count);
-            engine_->planner().forEachChunk(
-                [&](std::uint64_t index, bool) {
-                    shadow::ShadowMemory &sh =
-                        engine_->shadowOf(engine_->shardOf(index));
-                    sh.forEachInChunk(
-                        index, [&](std::uint64_t unit,
-                                   shadow::ShadowRef obj) {
-                            putUnitLegacy(sh.stamps(), unit, obj);
-                        });
-                });
-        } else {
-            std::uint64_t unit_count = 0;
-            shadow_.forEachInRecencyOrder(
-                [&](std::uint64_t, shadow::ShadowRef) { ++unit_count; });
-            sink.varint(unit_count);
-            shadow_.forEachInRecencyOrder(
-                [&](std::uint64_t unit, shadow::ShadowRef obj) {
-                    putUnitLegacy(shadow_.stamps(), unit, obj);
-                });
-        }
-        return;
-    }
-
-    // Version 3 shadow body. The byte peak joins the stats (it is no
-    // longer derivable from chunksPeak once cold arrays are lazy).
+    // The byte peak is not derivable from chunksPeak: cold arrays are
+    // allocated lazily.
     sink.u64(st.bytesPeak);
 
     // The FULL stamp table, in id order — including tuples whose only
@@ -1333,16 +1267,13 @@ SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
 bool
 SigilProfiler::restoreState(ByteSource &src)
 {
-    std::uint8_t version = src.u8();
-    if (version < 1 || version > 3)
+    if (src.u8() != kStateVersion)
         return false;
-    if (version >= 2) {
-        // Shard count of the saving run; the body is engine-neutral,
-        // so the value is informational only.
-        (void)src.varint();
-        if (!src.ok())
-            return false;
-    }
+    // Shard count of the saving run; the body is engine-neutral, so
+    // the value is informational only.
+    (void)src.varint();
+    if (!src.ok())
+        return false;
 
     if (src.u8() != config_.granularityShift ||
         src.u64() != config_.maxShadowChunks ||
@@ -1492,12 +1423,13 @@ SigilProfiler::restoreState(ByteSource &src)
     st.chunksPeak = src.u64();
     st.evictions = src.u64();
     st.allocFailures = src.u64();
+    st.bytesPeak = src.u64();
 
     // Re-interns a resolved identity tuple pair into whichever tables
     // the target engine uses and stores the unit. Interning (rather
     // than trusting saved ids) keeps the restore correct even if the
-    // saved id space and ours ever disagree, and lets v1/v2 bodies —
-    // which carry tuples, not ids — restore into the same machinery.
+    // saved id space and ours ever disagree, and lets one body restore
+    // into either engine: sharded runs keep shard-local id spaces.
     const auto restoreUnit = [&](std::uint64_t unit, bool has_cold,
                                  const shadow::WriterStamp &w,
                                  const shadow::ReaderStamp &r,
@@ -1508,8 +1440,8 @@ SigilProfiler::restoreState(ByteSource &src)
                                                             has_cold);
         if (engine_) {
             // Keep the sequencer's mirror table in sync so later
-            // saves can resolve shard-local ids (v3 interned the full
-            // table above already; this is a dedup no-op there).
+            // saves can resolve shard-local ids (the full table was
+            // interned up front; this is a dedup no-op).
             engine_->planner().stamps().internWriter(w);
             engine_->planner().stamps().internReader(r);
             obj.hot.writer = engine_->internWriterFor(unit, w);
@@ -1522,107 +1454,71 @@ SigilProfiler::restoreState(ByteSource &src)
             *obj.cold = cold;
     };
 
-    if (version < 3) {
-        // Legacy flat unit list with inline identity tuples. A unit
-        // gets a cold slot iff any cold field is nonzero — exactly the
-        // units the old eager-cold layout carried pending state for.
-        // bytesPeak was not recorded; restoreStats approximates it as
-        // the rebuilt live footprint.
+    // Full stamp table of the saving run. Every entry is interned
+    // up front — even ones no resident unit references — so the
+    // resumed run's table growth (hence byte accounting) matches
+    // an uninterrupted run's.
+    std::uint64_t wcount = src.varint();
+    if (!src.ok() || wcount > (std::uint64_t{1} << 32))
+        return false;
+    std::vector<shadow::WriterStamp> writers(
+        static_cast<std::size_t>(wcount) + 1);
+    for (std::uint64_t i = 1; i <= wcount; ++i) {
+        shadow::WriterStamp &w = writers[i];
+        w.seq = src.u64();
+        w.ctx = static_cast<vg::ContextId>(src.u32());
+        w.thread = src.u32();
+        if (engine_)
+            engine_->planner().stamps().internWriter(w);
+        else
+            shadow_.internWriter(w);
+    }
+    std::uint64_t rcount = src.varint();
+    if (!src.ok() || rcount > (std::uint64_t{1} << 32))
+        return false;
+    std::vector<shadow::ReaderStamp> readers(
+        static_cast<std::size_t>(rcount) + 1);
+    for (std::uint64_t i = 1; i <= rcount; ++i) {
+        shadow::ReaderStamp &r = readers[i];
+        r.call = src.u64();
+        r.ctx = static_cast<vg::ContextId>(src.u32());
+        if (engine_)
+            engine_->planner().stamps().internReader(r);
+        else
+            shadow_.internReader(r);
+    }
+
+    std::uint64_t num_chunks = src.varint();
+    if (!src.ok() || num_chunks > (std::uint64_t{1} << 28))
+        return false;
+    for (std::uint64_t c = 0; c < num_chunks; ++c) {
+        std::uint64_t index = src.varint();
+        std::uint8_t has_cold = src.u8();
         std::uint64_t num_units = src.varint();
-        if (!src.ok() || num_units > (std::uint64_t{1} << 40))
+        if (!src.ok() || has_cold > 1 ||
+            num_units > shadow::ShadowMemory::kChunkUnits) {
             return false;
+        }
+        const std::uint64_t base =
+            index << shadow::ShadowMemory::kChunkShift;
         for (std::uint64_t i = 0; i < num_units; ++i) {
-            std::uint64_t unit = src.varint();
-            if (!src.ok())
+            std::uint64_t off = src.varint();
+            std::uint64_t wid = src.varint();
+            std::uint64_t rid = src.varint();
+            if (!src.ok() ||
+                off >= shadow::ShadowMemory::kChunkUnits ||
+                wid > wcount || rid > rcount) {
                 return false;
-            shadow::WriterStamp w;
-            shadow::ReaderStamp r;
+            }
             shadow::ShadowCold cold;
-            w.seq = src.u64();
-            src.u64(); // legacy writer-call slot; no consumer
-            r.call = src.u64();
-            w.ctx = static_cast<vg::ContextId>(src.u32());
-            r.ctx = static_cast<vg::ContextId>(src.u32());
-            w.thread = src.u32();
-            cold.runFirstRead = src.u64();
-            cold.runLastRead = src.u64();
-            cold.totalAccesses = src.u64();
-            cold.runReads = src.u32();
-            const bool has_cold = cold.runFirstRead != 0 ||
-                                  cold.runLastRead != 0 ||
-                                  cold.totalAccesses != 0 ||
-                                  cold.runReads != 0;
-            restoreUnit(unit, has_cold, w, r, cold);
-        }
-    } else {
-        st.bytesPeak = src.u64();
-
-        // Full stamp table of the saving run. Every entry is interned
-        // up front — even ones no resident unit references — so the
-        // resumed run's table growth (hence byte accounting) matches
-        // an uninterrupted run's.
-        std::uint64_t wcount = src.varint();
-        if (!src.ok() || wcount > (std::uint64_t{1} << 32))
-            return false;
-        std::vector<shadow::WriterStamp> writers(
-            static_cast<std::size_t>(wcount) + 1);
-        for (std::uint64_t i = 1; i <= wcount; ++i) {
-            shadow::WriterStamp &w = writers[i];
-            w.seq = src.u64();
-            w.ctx = static_cast<vg::ContextId>(src.u32());
-            w.thread = src.u32();
-            if (engine_)
-                engine_->planner().stamps().internWriter(w);
-            else
-                shadow_.internWriter(w);
-        }
-        std::uint64_t rcount = src.varint();
-        if (!src.ok() || rcount > (std::uint64_t{1} << 32))
-            return false;
-        std::vector<shadow::ReaderStamp> readers(
-            static_cast<std::size_t>(rcount) + 1);
-        for (std::uint64_t i = 1; i <= rcount; ++i) {
-            shadow::ReaderStamp &r = readers[i];
-            r.call = src.u64();
-            r.ctx = static_cast<vg::ContextId>(src.u32());
-            if (engine_)
-                engine_->planner().stamps().internReader(r);
-            else
-                shadow_.internReader(r);
-        }
-
-        std::uint64_t num_chunks = src.varint();
-        if (!src.ok() || num_chunks > (std::uint64_t{1} << 28))
-            return false;
-        for (std::uint64_t c = 0; c < num_chunks; ++c) {
-            std::uint64_t index = src.varint();
-            std::uint8_t has_cold = src.u8();
-            std::uint64_t num_units = src.varint();
-            if (!src.ok() || has_cold > 1 ||
-                num_units > shadow::ShadowMemory::kChunkUnits) {
-                return false;
+            if (has_cold != 0) {
+                cold.runFirstRead = src.u64();
+                cold.runLastRead = src.u64();
+                cold.totalAccesses = src.u64();
+                cold.runReads = src.u32();
             }
-            const std::uint64_t base =
-                index << shadow::ShadowMemory::kChunkShift;
-            for (std::uint64_t i = 0; i < num_units; ++i) {
-                std::uint64_t off = src.varint();
-                std::uint64_t wid = src.varint();
-                std::uint64_t rid = src.varint();
-                if (!src.ok() ||
-                    off >= shadow::ShadowMemory::kChunkUnits ||
-                    wid > wcount || rid > rcount) {
-                    return false;
-                }
-                shadow::ShadowCold cold;
-                if (has_cold != 0) {
-                    cold.runFirstRead = src.u64();
-                    cold.runLastRead = src.u64();
-                    cold.totalAccesses = src.u64();
-                    cold.runReads = src.u32();
-                }
-                restoreUnit(base + off, has_cold != 0, writers[wid],
-                            readers[rid], cold);
-            }
+            restoreUnit(base + off, has_cold != 0, writers[wid],
+                        readers[rid], cold);
         }
     }
     if (engine_)

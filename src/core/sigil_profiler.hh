@@ -137,25 +137,17 @@ class SigilProfiler : public vg::Tool
      * recency order, so the restore reproduces future eviction
      * decisions). restoreState() rebuilds it into a freshly
      * constructed profiler with an *identical* SigilConfig; a config
-     * mismatch or corrupt input returns false.
+     * mismatch, a body version other than 3, or corrupt input returns
+     * false.
      *
      * Sharded runs fold before saving, so the snapshot body is
-     * engine-independent: a checkpoint written by a sharded run (v2)
+     * engine-independent: a checkpoint written by a sharded run
      * restores into a serial profiler and vice versa, for any shard
      * count.
      */
     /// @{
     void saveState(ByteSink &sink);
     bool restoreState(ByteSource &src);
-
-    /**
-     * Write the pre-stamp-table body (version 1 serial / 2 sharded):
-     * per-unit identity tuples inline, no stamp table, no byte peak.
-     * Retained so the cross-version restore path (v1/v2 snapshot into
-     * a stamp-compressed profiler) stays covered by tests; new
-     * checkpoints are always written by saveState() as version 3.
-     */
-    void saveStateLegacy(ByteSink &sink);
     /// @}
 
     /**
@@ -271,9 +263,6 @@ class SigilProfiler : public vg::Tool
         return collecting_ && classifyEnabled_ &&
                (reuseEnabled_ || config_.granularityShift > 0);
     }
-
-    /** Common body writer behind saveState()/saveStateLegacy(). */
-    void saveStateImpl(ByteSink &sink, std::uint8_t version);
 
     /**
      * Sharded mode: drain the workers and fold their partial tables —

@@ -371,8 +371,7 @@ class ShadowMemory
      * Overwrite the cumulative statistics (checkpoint restore). The
      * live-chunk count, cold-array count, and live bytes are re-derived
      * from the directory and stamp table; the byte peak is clamped up
-     * to the re-derived live figure (pre-v3 checkpoints do not record
-     * it).
+     * to the re-derived live figure, so it never reads below it.
      */
     void restoreStats(const ShadowStats &stats);
 

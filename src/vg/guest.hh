@@ -125,9 +125,8 @@ struct GuestConfig
 
     /**
      * Parallel trace ingestion: number of decode worker threads a
-     * BinaryReplaySession over an SGB2/SGB3 trace spins up to
-     * CRC-verify, decompress, and pre-decode frame payloads ahead of
-     * in-order delivery. 1 (the default) keeps the fully serial decode
+     * BinaryReplaySession spins up to CRC-verify, decompress, and
+     * pre-decode frame payloads ahead of in-order delivery. 1 (the default) keeps the fully serial decode
      * path; at most 64. Delivery to tools is bit-identical across all
      * values — the workers only front-run pure per-frame work (see
      * DESIGN.md §4.6). Purely advisory to the replay layer.
@@ -136,8 +135,8 @@ struct GuestConfig
 
     /**
      * Background trace writer: a BinaryTraceRecorder attached to this
-     * guest moves frame serialization — CRC32C and, for SGB3, LZ
-     * compression — onto a dedicated writer thread fed by a bounded
+     * guest moves frame serialization — LZ compression and CRC32C —
+     * onto a dedicated writer thread fed by a bounded
      * frame queue. The guest thread only appends to the current block
      * and enqueues finished blocks; when the queue is full it blocks
      * (backpressure) rather than buffering unboundedly. The bytes

@@ -37,15 +37,15 @@ enum class TraceErrorCause
     BadMagic,       ///< file does not start with a known magic
     BadVersion,     ///< known magic, unsupported version
     Truncated,      ///< stream ended inside a record or block
-    HeaderCrc,      ///< block header checksum mismatch (SGB2)
-    PayloadCrc,     ///< block payload checksum mismatch (SGB2)
+    HeaderCrc,      ///< frame header checksum mismatch
+    PayloadCrc,     ///< frame payload checksum mismatch
     VarintOverflow, ///< varint longer than 10 bytes / 64 bits
     BoundsExceeded, ///< record claims more bytes than its block holds
-    UnknownSection, ///< unrecognized section tag
+    UnknownSection, ///< unrecognized frame tag
     UnknownOpcode,  ///< unrecognized event opcode
     UnknownFunction,///< event references an id with no function record
-    Decompress,     ///< compressed payload does not decompress (SGB3)
-    BadRecord,      ///< malformed record body (text formats: bad token)
+    Decompress,     ///< compressed payload does not decompress
+    BadRecord,      ///< malformed record body (text files: bad token)
     StateMismatch,  ///< checkpoint does not match the replay config
     Unsupported,    ///< valid input the reader cannot process
 };
@@ -61,10 +61,10 @@ struct TraceError
     /** Absolute byte offset in the input stream, if known. */
     std::uint64_t byteOffset = 0;
 
-    /** Index of the enclosing event block (binary formats); -1 n/a. */
+    /** Index of the enclosing trace frame; -1 = not applicable. */
     std::int64_t blockIndex = -1;
 
-    /** 1-based line number (text formats); 0 = not applicable. */
+    /** 1-based line number (profile/event text); 0 = not applicable. */
     std::uint64_t line = 0;
 
     /** Cause-specific detail, including the offending token if any. */
@@ -93,8 +93,8 @@ struct ReplayOptions
 /**
  * Accounting of one replay: what was delivered, what was lost, and
  * why. In salvage mode `eventsDelivered + eventsSkipped` equals the
- * recorded event total whenever the trailer (or SGB2 block headers
- * past the damage) could be read; `truncated` flags the case where the
+ * recorded event total whenever the trailer (or frame headers past
+ * the damage) could be read; `truncated` flags the case where the
  * tail is simply gone and the loss cannot be bounded from the file.
  */
 struct ReplayReport
@@ -133,13 +133,12 @@ struct ReplayReport
     /** True when the stream ended before the end marker. */
     bool truncated = false;
     /**
-     * True when the recorder's clean-shutdown trailer frame was seen
-     * (SGB2/SGB3 only): the recording process reached finish() and
-     * flushed everything, as opposed to crashing or being killed
-     * mid-run. A salvageable file without this flag is a crash
-     * capture — every fully-framed event is still recovered, but the
-     * tail of the run is missing by construction. Always false for
-     * SGB1 and text traces, which predate the trailer.
+     * True when the recorder's clean-shutdown trailer frame was seen:
+     * the recording process reached finish() and flushed everything,
+     * as opposed to crashing or being killed mid-run. A salvageable
+     * file without this flag is a crash capture — every fully-framed
+     * event is still recovered, but the tail of the run is missing by
+     * construction.
      */
     bool cleanShutdown = false;
 

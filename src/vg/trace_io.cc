@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -13,7 +12,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -36,21 +34,9 @@ namespace sigil::vg {
 
 namespace {
 
-/** Flush the text formatting buffer once it crosses this size. */
-constexpr std::size_t kTextFlushBytes = 64 * 1024;
-
-constexpr char kSgb1Magic[4] = {'S', 'G', 'B', '1'};
-constexpr char kSgb2Magic[4] = {'S', 'G', 'B', '2'};
 constexpr char kSgb3Magic[4] = {'S', 'G', 'B', '3'};
 
-/** @name SGB1 section tags */
-/// @{
-constexpr std::uint8_t kSecEnd = 0x00;
-constexpr std::uint8_t kSecFunction = 0x01;
-constexpr std::uint8_t kSecBlock = 0x02;
-/// @}
-
-/** @name SGB2 frame tags */
+/** @name Frame tags */
 /// @{
 constexpr std::uint8_t kTagEnd = 0x00;
 constexpr std::uint8_t kTagFunctions = 0x01;
@@ -59,8 +45,7 @@ constexpr std::uint8_t kTagEvents = 0x02;
  * Clean-shutdown trailer: written by finish() immediately before the
  * end frame, payload = varint total event count. Its presence proves
  * the recorder reached finish() and flushed everything; a salvaged
- * file without it is a crash capture (docs/FORMATS.md §3.4). Readers
- * predating this tag skip it as an unknown-but-valid frame.
+ * file without it is a crash capture (docs/FORMATS.md §3.1).
  */
 constexpr std::uint8_t kTagShutdown = 0x03;
 /// @}
@@ -69,42 +54,24 @@ constexpr std::uint8_t kTagShutdown = 0x03;
 void (*gDecodeWorkerDelayHook)(std::uint64_t block_seq) = nullptr;
 
 /**
- * SGB2 frame sync bytes. Resynchronization scans for this pattern and
- * then validates the header CRC, so the bytes only need to be unlikely,
- * not impossible, inside payload data; the non-ASCII guards keep them
- * from colliding with text or with the file magic.
+ * Frame sync bytes. Resynchronization scans for this pattern and then
+ * validates the header CRC, so the bytes only need to be unlikely, not
+ * impossible, inside payload data; the non-ASCII guards keep them from
+ * colliding with text or with the file magic.
  */
-constexpr unsigned char kFrameSync[4] = {0xa7, 'S', 'B', 0xb2};
+constexpr unsigned char kFrameSync[4] = {0xa7, 'S', 'B', 0xb3};
 
 /**
- * SGB3 frame sync bytes: distinct from SGB2 so resynchronization in
- * one flavour can never lock onto a frame of the other.
+ * Smallest possible frame: sync + tag + 4 one-byte varints + flags +
+ * one-byte uncompressed length + 2 CRCs.
  */
-constexpr unsigned char kFrameSync3[4] = {0xa7, 'S', 'B', 0xb3};
+constexpr std::size_t kMinFrameBytes = 4 + 1 + 4 + 1 + 1 + 8;
 
-/** Smallest possible frame: sync + tag + 4 one-byte varints + 2 CRCs. */
-constexpr std::size_t kMinFrameBytes = 4 + 1 + 4 + 8;
-
-/** SGB3 adds a flags byte and the uncompressed-length varint. */
-constexpr std::size_t kMinFrameBytes3 = 4 + 1 + 4 + 1 + 1 + 8;
-
-/** SGB3 header flags: payload stored LZ-compressed (support/lz.hh). */
+/** Header flags: payload stored LZ-compressed (support/lz.hh). */
 constexpr std::uint8_t kFrameFlagCompressed = 0x01;
 
-/** Payloads below this are never worth a compression attempt (SGB3). */
+/** Payloads below this are never worth a compression attempt. */
 constexpr std::size_t kMinCompressBytes = 32;
-
-inline const unsigned char *
-frameSync(bool sgb3)
-{
-    return sgb3 ? kFrameSync3 : kFrameSync;
-}
-
-inline std::size_t
-minFrameBytes(bool sgb3)
-{
-    return sgb3 ? kMinFrameBytes3 : kMinFrameBytes;
-}
 
 /** Sanity caps rejecting absurd values decoded from corrupt input. */
 constexpr std::uint64_t kMaxPayloadLen = std::uint64_t{1} << 26;
@@ -112,7 +79,7 @@ constexpr std::uint64_t kMaxNameLen = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxAccessSize = std::uint64_t{1} << 30;
 constexpr std::uint64_t kMaxThreads = std::uint64_t{1} << 16;
 
-/** @name Binary event opcodes (shared by SGB1 and SGB2) */
+/** @name Event opcodes */
 /// @{
 constexpr std::uint8_t kOpRead = 1;
 constexpr std::uint8_t kOpWrite = 2;
@@ -158,15 +125,6 @@ unzigzag(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
-}
-
-void
-putUint(std::string &out, std::uint64_t v)
-{
-    char tmp[20];
-    auto [ptr, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
-    (void)ec;
-    out.append(tmp, ptr);
 }
 
 /** Internal error transport; never escapes the public replay API. */
@@ -501,7 +459,7 @@ struct ReplayCtx
     }
 };
 
-/** @name SGB2/SGB3 frame header parsing */
+/** @name Frame header parsing */
 /// @{
 
 struct FrameHeader
@@ -513,29 +471,28 @@ struct FrameHeader
     std::uint64_t payloadLen = 0; ///< stored (possibly compressed) bytes
     std::uint32_t payloadCrc = 0;
     std::size_t headerLen = 0; ///< sync through headerCrc, inclusive
-    /** SGB3 only: payload is LZ-compressed (frame flags bit 0). */
+    /** Payload is LZ-compressed (frame flags bit 0). */
     bool compressed = false;
-    /** Uncompressed payload length; equals payloadLen for SGB2. */
+    /** Uncompressed payload length; equals payloadLen when stored raw. */
     std::uint64_t rawLen = 0;
 };
 
 /**
- * Try to parse and validate a frame header at data[off], in SGB2 or
- * (when `sgb3`) SGB3 layout. Fails (nullopt) on missing sync bytes,
- * malformed or overlong varints, implausible field values, unknown
- * SGB3 frame flags, or a header-CRC mismatch — all without reading
- * past the buffer, so it is safe to probe arbitrary offsets during
- * resynchronization.
+ * Try to parse and validate a frame header at data[off]. Fails
+ * (nullopt) on missing sync bytes, malformed or overlong varints,
+ * implausible field values, unknown frame flags, or a header-CRC
+ * mismatch — all without reading past the buffer, so it is safe to
+ * probe arbitrary offsets during resynchronization.
  */
 std::optional<FrameHeader>
-parseFrameAt(std::string_view data, std::size_t off, bool sgb3)
+parseFrameAt(std::string_view data, std::size_t off)
 {
-    if (off + minFrameBytes(sgb3) > data.size())
+    if (off + kMinFrameBytes > data.size())
         return std::nullopt;
     const unsigned char *p =
         reinterpret_cast<const unsigned char *>(data.data()) + off;
     std::size_t avail = data.size() - off;
-    if (std::memcmp(p, frameSync(sgb3), 4) != 0)
+    if (std::memcmp(p, kFrameSync, 4) != 0)
         return std::nullopt;
 
     std::size_t pos = 4;
@@ -561,24 +518,20 @@ parseFrameAt(std::string_view data, std::size_t off, bool sgb3)
         !varint(h.eventCount) || !varint(h.payloadLen)) {
         return std::nullopt;
     }
-    if (sgb3) {
-        if (pos >= avail)
-            return std::nullopt;
-        std::uint8_t flags = p[pos++];
-        if (flags & ~kFrameFlagCompressed)
-            return std::nullopt;
-        h.compressed = flags & kFrameFlagCompressed;
-        if (!varint(h.rawLen))
-            return std::nullopt;
-        // An uncompressed frame must store exactly its raw bytes; a
-        // compressed one must actually be smaller, or the writer would
-        // have stored it raw.
-        if (h.compressed ? h.payloadLen >= h.rawLen
-                         : h.payloadLen != h.rawLen) {
-            return std::nullopt;
-        }
-    } else {
-        h.rawLen = h.payloadLen;
+    if (pos >= avail)
+        return std::nullopt;
+    std::uint8_t flags = p[pos++];
+    if (flags & ~kFrameFlagCompressed)
+        return std::nullopt;
+    h.compressed = flags & kFrameFlagCompressed;
+    if (!varint(h.rawLen))
+        return std::nullopt;
+    // An uncompressed frame must store exactly its raw bytes; a
+    // compressed one must actually be smaller, or the writer would have
+    // stored it raw.
+    if (h.compressed ? h.payloadLen >= h.rawLen
+                     : h.payloadLen != h.rawLen) {
+        return std::nullopt;
     }
     if (pos + 8 > avail)
         return std::nullopt;
@@ -603,18 +556,17 @@ parseFrameAt(std::string_view data, std::size_t off, bool sgb3)
 
 /** Next offset >= from holding a valid frame header; npos if none. */
 std::size_t
-findNextFrame(std::string_view data, std::size_t from, bool sgb3)
+findNextFrame(std::string_view data, std::size_t from)
 {
-    const std::size_t min_frame = minFrameBytes(sgb3);
-    while (from + min_frame <= data.size()) {
+    while (from + kMinFrameBytes <= data.size()) {
         const void *hit =
-            std::memchr(data.data() + from, frameSync(sgb3)[0],
-                        data.size() - from - (min_frame - 1));
+            std::memchr(data.data() + from, kFrameSync[0],
+                        data.size() - from - (kMinFrameBytes - 1));
         if (hit == nullptr)
             return std::string_view::npos;
         from = static_cast<std::size_t>(static_cast<const char *>(hit) -
                                         data.data());
-        if (parseFrameAt(data, from, sgb3))
+        if (parseFrameAt(data, from))
             return from;
         ++from;
     }
@@ -629,7 +581,7 @@ findNextFrame(std::string_view data, std::size_t from, bool sgb3)
 /**
  * Everything about one frame that can be computed from the raw bytes
  * alone, independent of replay state: the payload-CRC verdict, the
- * decompressed image (SGB3), the syntactically decoded events or
+ * decompressed image, the syntactically decoded events or
  * function records, and the first syntactic error if the payload is
  * malformed. Events before `error` are exactly those the serial
  * decoder would have delivered before raising it.
@@ -725,11 +677,10 @@ decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
 class DecodePipeline
 {
   public:
-    DecodePipeline(std::string_view data, bool sgb3, bool salvage,
-                   unsigned workers, std::size_t start_pos,
-                   unsigned stall_timeout_ms, Watchdog *watchdog,
-                   MemoryGovernor *governor)
-        : data_(data), sgb3_(sgb3), salvage_(salvage),
+    DecodePipeline(std::string_view data, bool salvage, unsigned workers,
+                   std::size_t start_pos, unsigned stall_timeout_ms,
+                   Watchdog *watchdog, MemoryGovernor *governor)
+        : data_(data), salvage_(salvage),
           window_(static_cast<std::size_t>(workers) * 4),
           stallTimeoutMs_(stall_timeout_ms), dog_(watchdog),
           gov_(governor), scanPos_(start_pos)
@@ -908,14 +859,13 @@ class DecodePipeline
     topUp(std::unique_lock<std::mutex> &)
     {
         while (!scanDone_ && inflight_.size() < window_) {
-            auto h = parseFrameAt(data_, scanPos_, sgb3_);
+            auto h = parseFrameAt(data_, scanPos_);
             if (!h) {
                 if (!salvage_) {
                     scanDone_ = true;
                     break;
                 }
-                std::size_t next =
-                    findNextFrame(data_, scanPos_ + 1, sgb3_);
+                std::size_t next = findNextFrame(data_, scanPos_ + 1);
                 if (next == std::string_view::npos) {
                     scanDone_ = true;
                     break;
@@ -1033,7 +983,6 @@ class DecodePipeline
     }
 
     std::string_view data_;
-    const bool sgb3_;
     const bool salvage_;
     const std::size_t window_;
     const unsigned stallTimeoutMs_;
@@ -1059,195 +1008,6 @@ class DecodePipeline
 /// @}
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Text recorder
-// ---------------------------------------------------------------------
-
-TraceRecorder::TraceRecorder(std::ostream &os) : os_(os)
-{
-    buf_.reserve(kTextFlushBytes + 256);
-}
-
-void
-TraceRecorder::attach(const Guest &guest)
-{
-    Tool::attach(guest);
-    buf_ += "sigil-trace\t1\n";
-    buf_ += "program\t";
-    buf_ += guest.programName();
-    buf_ += '\n';
-}
-
-void
-TraceRecorder::maybeFlush()
-{
-    if (buf_.size() >= kTextFlushBytes) {
-        os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-        buf_.clear();
-    }
-}
-
-void
-TraceRecorder::put(char tag)
-{
-    buf_ += tag;
-    buf_ += '\n';
-    ++events_;
-    maybeFlush();
-}
-
-void
-TraceRecorder::put(char tag, std::uint64_t v0)
-{
-    buf_ += tag;
-    buf_ += '\t';
-    putUint(buf_, v0);
-    buf_ += '\n';
-    ++events_;
-    maybeFlush();
-}
-
-void
-TraceRecorder::put(char tag, std::uint64_t v0, std::uint64_t v1)
-{
-    buf_ += tag;
-    buf_ += '\t';
-    putUint(buf_, v0);
-    buf_ += '\t';
-    putUint(buf_, v1);
-    buf_ += '\n';
-    ++events_;
-    maybeFlush();
-}
-
-void
-TraceRecorder::ensureFunction(FunctionId fn)
-{
-    std::size_t idx = static_cast<std::size_t>(fn);
-    if (idx >= emitted_.size())
-        emitted_.resize(idx + 1, false);
-    if (emitted_[idx])
-        return;
-    emitted_[idx] = true;
-    buf_ += "F\t";
-    putUint(buf_, static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
-    buf_ += '\t';
-    buf_ += guest_->functions().name(fn);
-    buf_ += '\n';
-}
-
-void
-TraceRecorder::fnEnter(ContextId ctx, CallNum call)
-{
-    (void)call;
-    FunctionId fn = guest_->contexts().function(ctx);
-    ensureFunction(fn);
-    put('E', static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
-}
-
-void
-TraceRecorder::fnLeave(ContextId ctx, CallNum call)
-{
-    (void)ctx;
-    (void)call;
-    put('L');
-}
-
-void
-TraceRecorder::memRead(Addr addr, unsigned size)
-{
-    put('R', addr, size);
-}
-
-void
-TraceRecorder::memWrite(Addr addr, unsigned size)
-{
-    put('W', addr, size);
-}
-
-void
-TraceRecorder::op(std::uint64_t iops, std::uint64_t flops)
-{
-    put('O', iops, flops);
-}
-
-void
-TraceRecorder::branch(bool taken)
-{
-    put('B', taken ? 1 : 0);
-}
-
-void
-TraceRecorder::threadSwitch(ThreadId tid)
-{
-    put('T', tid);
-}
-
-void
-TraceRecorder::barrier()
-{
-    put('Z');
-}
-
-void
-TraceRecorder::roi(bool active)
-{
-    put('I', active ? 1 : 0);
-}
-
-void
-TraceRecorder::processBatch(const EventBuffer &batch)
-{
-    for (std::size_t i = 0, n = batch.size(); i < n; ++i) {
-        std::uint64_t a = batch.a(i);
-        std::uint64_t b = batch.b(i);
-        switch (batch.kind(i)) {
-          case EventKind::kRead:
-            put('R', a, b);
-            break;
-          case EventKind::kWrite:
-            put('W', a, b);
-            break;
-          case EventKind::kOp:
-            put('O', a, b);
-            break;
-          case EventKind::kBranch:
-            put('B', a ? 1 : 0);
-            break;
-          case EventKind::kEnter: {
-            FunctionId fn = static_cast<FunctionId>(a);
-            ensureFunction(fn);
-            put('E', a);
-            break;
-          }
-          case EventKind::kLeave:
-            put('L');
-            break;
-          case EventKind::kThreadSwitch:
-            put('T', a);
-            break;
-          case EventKind::kBarrier:
-            put('Z');
-            break;
-          case EventKind::kRoi:
-            put('I', a ? 1 : 0);
-            break;
-        }
-    }
-}
-
-void
-TraceRecorder::finish()
-{
-    if (finished_)
-        return;
-    finished_ = true;
-    buf_ += "end\n";
-    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-    os_.flush();
-}
 
 // ---------------------------------------------------------------------
 // Binary recorder
@@ -1383,10 +1143,9 @@ struct BinaryTraceRecorder::AsyncWriter
     std::thread thread_;
 };
 
-BinaryTraceRecorder::BinaryTraceRecorder(std::ostream &os,
-                                         TraceFormat format,
+BinaryTraceRecorder::BinaryTraceRecorder(std::ostream &os, TraceFormat,
                                          std::size_t block_events)
-    : os_(os), format_(format), maxBlockEvents_(block_events)
+    : os_(os), maxBlockEvents_(block_events)
 {
     if (maxBlockEvents_ == 0)
         fatal("binary trace: block size must be at least 1 event");
@@ -1410,18 +1169,13 @@ void
 BinaryTraceRecorder::attach(const Guest &guest)
 {
     Tool::attach(guest);
-    const char *magic = format_ == TraceFormat::SGB1   ? kSgb1Magic
-                        : format_ == TraceFormat::SGB2 ? kSgb2Magic
-                                                       : kSgb3Magic;
-    std::string header(magic, 4);
+    std::string header(kSgb3Magic, 4);
     putVarint(header, 1); // version
     const std::string &name = guest.programName();
     putVarint(header, name.size());
     header += name;
     os_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    // SGB1 has no frame boundary a writer thread could hand off at,
-    // so the async knob only engages for the framed formats.
-    if (guest.config().asyncWriter && format_ != TraceFormat::SGB1) {
+    if (guest.config().asyncWriter) {
         writer_ = std::make_unique<AsyncWriter>(
             *this, guest.config().writerQueueFrames,
             guest.watchdogShared());
@@ -1437,10 +1191,8 @@ BinaryTraceRecorder::ensureFunction(FunctionId fn)
     if (emitted_[idx])
         return;
     emitted_[idx] = true;
-    // SGB1 tags each record as its own section; SGB2 accumulates bare
-    // records into one function-block payload framed by flushBlock().
-    if (format_ == TraceFormat::SGB1)
-        pendingFns_.push_back(static_cast<char>(kSecFunction));
+    // Bare records accumulate into one function-frame payload, framed
+    // by flushBlock() ahead of the event frame that first uses them.
     putVarint(pendingFns_,
               static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
     const std::string &name = guest_->functions().name(fn);
@@ -1453,10 +1205,9 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
                                 std::uint64_t first_event,
                                 std::uint64_t event_count)
 {
-    const bool sgb3 = format_ == TraceFormat::SGB3;
     const std::uint64_t raw_len = payload.size();
     bool compressed = false;
-    if (sgb3 && payload.size() >= kMinCompressBytes) {
+    if (payload.size() >= kMinCompressBytes) {
         // Cap at size-1: a frame is stored compressed only when that
         // actually saves bytes, so replay can reject any compressed
         // frame whose payload is not smaller than its raw length.
@@ -1469,17 +1220,14 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
         }
     }
     std::string hdr;
-    hdr.append(reinterpret_cast<const char *>(frameSync(sgb3)), 4);
+    hdr.append(reinterpret_cast<const char *>(kFrameSync), 4);
     hdr.push_back(static_cast<char>(tag));
     putVarint(hdr, blockSeq_++);
     putVarint(hdr, first_event);
     putVarint(hdr, event_count);
     putVarint(hdr, payload.size());
-    if (sgb3) {
-        hdr.push_back(
-            static_cast<char>(compressed ? kFrameFlagCompressed : 0));
-        putVarint(hdr, raw_len);
-    }
+    hdr.push_back(static_cast<char>(compressed ? kFrameFlagCompressed : 0));
+    putVarint(hdr, raw_len);
     putU32le(hdr, crc32c(payload.data(), payload.size()));
     putU32le(hdr, crc32c(hdr.data(), hdr.size()));
     // Publish the frame with a single stream write. Split header and
@@ -1511,28 +1259,15 @@ BinaryTraceRecorder::flushBlock()
 {
     std::uint64_t first_event = events_ - blockEvents_;
     if (!pendingFns_.empty()) {
-        if (format_ == TraceFormat::SGB1) {
-            os_.write(pendingFns_.data(),
-                      static_cast<std::streamsize>(pendingFns_.size()));
-        } else {
-            emitFrame(kTagFunctions, pendingFns_, first_event, 0);
-        }
+        emitFrame(kTagFunctions, pendingFns_, first_event, 0);
         pendingFns_.clear();
     }
     if (blockEvents_ == 0)
         return;
-    if (format_ == TraceFormat::SGB1) {
-        std::string frame;
-        frame.push_back(static_cast<char>(kSecBlock));
-        putVarint(frame, blockEvents_);
-        os_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-        os_.write(block_.data(), static_cast<std::streamsize>(block_.size()));
-    } else {
-        emitFrame(kTagEvents, block_, first_event, blockEvents_);
-        // Each SGB2 block must decode independently (salvage can drop
-        // any predecessor), so the address delta chain restarts here.
-        prevAddr_ = 0;
-    }
+    emitFrame(kTagEvents, block_, first_event, blockEvents_);
+    // Each block must decode independently (salvage can drop any
+    // predecessor), so the address delta chain restarts here.
+    prevAddr_ = 0;
     block_.clear();
     blockEvents_ = 0;
 }
@@ -1682,23 +1417,18 @@ BinaryTraceRecorder::finish()
         return;
     finished_ = true;
     flushBlock();
-    if (format_ == TraceFormat::SGB1) {
-        char end = static_cast<char>(kSecEnd);
-        os_.write(&end, 1);
-    } else {
-        // Clean-shutdown trailer: its presence tells replay the
-        // recorder reached finish() and flushed everything, so a
-        // salvageable file without it is a crash capture. A killed
-        // process never gets here, which is exactly the signal.
-        std::string shutdown;
-        putVarint(shutdown, events_);
-        emitFrame(kTagShutdown, shutdown, events_, 0);
-        // The end frame doubles as the trailer: firstEventSeq is the
-        // total event count, giving salvage replays the ground truth
-        // for their skipped-vs-delivered accounting.
-        std::string empty;
-        emitFrame(kTagEnd, empty, events_, 0);
-    }
+    // Clean-shutdown trailer: its presence tells replay the recorder
+    // reached finish() and flushed everything, so a salvageable file
+    // without it is a crash capture. A killed process never gets here,
+    // which is exactly the signal.
+    std::string shutdown;
+    putVarint(shutdown, events_);
+    emitFrame(kTagShutdown, shutdown, events_, 0);
+    // The end frame doubles as the trailer: firstEventSeq is the total
+    // event count, giving salvage replays the ground truth for their
+    // skipped-vs-delivered accounting.
+    std::string empty;
+    emitFrame(kTagEnd, empty, events_, 0);
     if (writer_)
         writer_->shutdown();
     os_.flush();
@@ -1719,8 +1449,6 @@ struct BinaryReplaySession::Impl
     std::size_t pos = 0;       ///< offset of the next frame
     std::uint64_t streamPos = 0; ///< next expected event sequence
     std::uint64_t eventBlocks = 0;
-    bool sgb1 = false;
-    bool sgb3 = false;
     bool done = false;
     bool finished = false;
     std::unique_ptr<DecodePipeline> pipeline;
@@ -1743,18 +1471,17 @@ struct BinaryReplaySession::Impl
     }
 
     /**
-     * Frame-parallel decode is worth a thread pool only for the framed
-     * formats; SGB1 is one indivisible stream. decodeThreads == 1 keeps
-     * the fully serial path (no pipeline at all).
+     * decodeThreads == 1 keeps the fully serial path (no pipeline at
+     * all).
      */
     void
     startPipeline()
     {
         unsigned workers = guest.config().decodeThreads;
-        if (workers < 2 || sgb1 || done)
+        if (workers < 2 || done)
             return;
         pipeline = std::make_unique<DecodePipeline>(
-            data, sgb3, salvage(), workers, pos,
+            data, salvage(), workers, pos,
             guest.config().stallTimeoutMs, guest.watchdog(),
             guest.governor());
     }
@@ -1777,15 +1504,7 @@ struct BinaryReplaySession::Impl
     start()
     {
         if (data.size() >= 4 &&
-            std::memcmp(data.data(), kSgb1Magic, 4) == 0) {
-            sgb1 = true;
-            pos = 4;
-            return;
-        }
-        if (data.size() >= 4 &&
-            (std::memcmp(data.data(), kSgb2Magic, 4) == 0 ||
-             std::memcmp(data.data(), kSgb3Magic, 4) == 0)) {
-            sgb3 = data[3] == '3';
+            std::memcmp(data.data(), kSgb3Magic, 4) == 0) {
             // Preamble: version + program name (informational).
             Cursor c(data.data() + 4, data.size() - 4, 4, -1,
                      TraceErrorCause::Truncated);
@@ -1807,17 +1526,12 @@ struct BinaryReplaySession::Impl
         TraceError e;
         e.cause = TraceErrorCause::BadMagic;
         e.byteOffset = 0;
-        e.detail = "not a binary sigil trace";
+        e.detail = "not an SGB3 sigil trace";
         fail(std::move(e));
         // Salvage can still mine a damaged preamble for valid frames:
-        // every frame is self-describing. With the magic gone, let the
-        // first valid frame of either flavour pick the framing.
-        if (salvage()) {
-            std::size_t p2 = findNextFrame(data, 0, false);
-            std::size_t p3 = findNextFrame(data, 0, true);
-            sgb3 = p3 < p2; // npos compares greater than any hit
+        // every frame is self-describing.
+        if (salvage())
             resyncFrom(0);
-        }
     }
 
     /**
@@ -1827,7 +1541,7 @@ struct BinaryReplaySession::Impl
     void
     resyncFrom(std::size_t from)
     {
-        std::size_t np = findNextFrame(data, from, sgb3);
+        std::size_t np = findNextFrame(data, from);
         if (np == std::string_view::npos) {
             report.bytesSkipped += data.size() - pos;
             report.truncated = true;
@@ -1862,10 +1576,6 @@ struct BinaryReplaySession::Impl
     {
         if (done)
             return false;
-        if (sgb1) {
-            stepSgb1();
-            return !done;
-        }
         if (pos >= data.size()) {
             if (!report.sawTrailer) {
                 TraceError e;
@@ -1879,15 +1589,15 @@ struct BinaryReplaySession::Impl
             return false;
         }
 
-        std::optional<FrameHeader> h = parseFrameAt(data, pos, sgb3);
+        std::optional<FrameHeader> h = parseFrameAt(data, pos);
         if (!h) {
             TraceError e;
             e.byteOffset = pos;
-            if (data.size() - pos < minFrameBytes(sgb3)) {
+            if (data.size() - pos < kMinFrameBytes) {
                 e.cause = TraceErrorCause::Truncated;
                 e.detail = "stream ends inside a frame";
-            } else if (std::memcmp(data.data() + pos, frameSync(sgb3),
-                                   4) == 0) {
+            } else if (std::memcmp(data.data() + pos, kFrameSync, 4) ==
+                       0) {
                 e.cause = TraceErrorCause::HeaderCrc;
                 e.detail = "frame header failed validation";
             } else {
@@ -2073,62 +1783,6 @@ struct BinaryReplaySession::Impl
         return !done;
     }
 
-    /**
-     * SGB1 has no frame boundaries to step or salvage by: process the
-     * entire stream in one step. Damage ends the replay at the last
-     * decodable event — reported, never fatal.
-     */
-    void
-    stepSgb1()
-    {
-        done = true;
-        Cursor c(data.data() + pos, data.size() - pos, pos, -1,
-                 TraceErrorCause::Truncated);
-        try {
-            std::uint64_t version = c.varint();
-            if (version != 1)
-                raiseError(TraceErrorCause::BadVersion, pos, -1,
-                           "unsupported version " +
-                               std::to_string(version));
-            c.bytes(c.varint()); // program name — informational
-            std::uint64_t prev_addr = 0;
-            for (;;) {
-                std::uint64_t at = c.offset();
-                std::uint8_t sec = c.u8();
-                if (sec == kSecEnd) {
-                    report.sawTrailer = true;
-                    report.totalEventsRecorded = report.eventsDelivered;
-                    break;
-                }
-                if (sec == kSecFunction) {
-                    std::uint64_t id = c.varint();
-                    ctx.fnMap[id] =
-                        guest.functions().intern(c.bytes(c.varint()));
-                    continue;
-                }
-                if (sec != kSecBlock)
-                    raiseError(TraceErrorCause::UnknownSection, at, -1,
-                               "section tag " + std::to_string(sec));
-                std::uint64_t count = c.varint();
-                if (count > c.remaining())
-                    raiseError(TraceErrorCause::Truncated, at, -1,
-                               "block claims more events than bytes "
-                               "remain");
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    PreEvent ev;
-                    decodeEvent(c, prev_addr, -1, ev);
-                    ctx.deliverEvent(ev, -1);
-                }
-                ++report.blocksDelivered;
-                ++eventBlocks;
-            }
-        } catch (TraceAbort &a) {
-            report.truncated = a.err.cause == TraceErrorCause::Truncated;
-            fail(std::move(a.err));
-        }
-        pos = data.size();
-    }
-
     ReplayReport
     finishReplay()
     {
@@ -2245,7 +1899,7 @@ BinaryReplaySession::restoreReaderState(ByteSource &src)
         std::uint64_t id = src.varint();
         s.ctx.fnMap[id] = s.guest.functions().intern(src.str());
     }
-    if (!src.ok() || s.sgb1 || pos > s.data.size()) {
+    if (!src.ok() || pos > s.data.size()) {
         s.done = true;
         return false;
     }
@@ -2550,301 +2204,6 @@ setDecodeWorkerDelayForTesting(void (*hook)(std::uint64_t block_seq))
 // Replay entry points
 // ---------------------------------------------------------------------
 
-namespace {
-
-/**
- * Structured text replay shared by the strict legacy wrapper and the
- * fault-tolerant overload. Tracks the 1-based line number and the
- * absolute byte offset of every line so each rejection names its
- * position and the offending token.
- */
-ReplayReport
-replayTextTrace(std::istream &is, Guest &guest,
-                const ReplayOptions &opts)
-{
-    ReplayReport report;
-    ReplayCtx ctx{guest, opts.policy, report, {}, 0};
-    std::string line;
-    bool saw_header = false;
-    std::uint64_t line_no = 0;
-    std::uint64_t offset = 0;
-
-    // Returns true when the line was consumed (or skipped in salvage);
-    // false when a strict error should stop the loop.
-    auto reject = [&](TraceErrorCause cause, std::string detail,
-                      bool counts_event) {
-        TraceError e;
-        e.cause = cause;
-        e.byteOffset = offset;
-        e.line = line_no;
-        e.detail = std::move(detail);
-        if (opts.policy == ReplayPolicy::Salvage) {
-            ctx.recordError(e, opts.maxRecordedErrors);
-            if (counts_event)
-                ++report.eventsSkipped;
-            report.bytesSkipped += line.size() + 1;
-            return true;
-        }
-        report.error = std::move(e);
-        return false;
-    };
-
-    while (std::getline(is, line)) {
-        ++line_no;
-        std::uint64_t this_offset = offset;
-        offset += line.size() + 1;
-        (void)this_offset;
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (!saw_header) {
-            if (line.rfind("sigil-trace\t1", 0) != 0) {
-                offset -= line.size() + 1;
-                if (!reject(TraceErrorCause::BadMagic,
-                            "not a sigil trace header: '" + line + "'",
-                            false)) {
-                    return report;
-                }
-                offset += line.size() + 1;
-                // Without a header this is not a trace at all — even
-                // salvage gives up rather than replay random text.
-                report.truncated = true;
-                return report;
-            }
-            saw_header = true;
-            continue;
-        }
-        offset -= line.size() + 1; // report positions at line start
-        char tag = line[0];
-        const char *rest = line.c_str() + (line.size() > 1 ? 2 : 1);
-        bool ok = true;
-        switch (tag) {
-          case 'p': // program line — informational
-            break;
-          case 'F': {
-            char *end = nullptr;
-            long id = std::strtol(rest, &end, 10);
-            if (end == rest || *end != '\t') {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad function record: token '" +
-                                std::string(rest) + "'",
-                            false);
-                break;
-            }
-            ctx.fnMap[static_cast<std::uint64_t>(id)] =
-                guest.functions().intern(end + 1);
-            break;
-          }
-          case 'E': {
-            char *end = nullptr;
-            long id = std::strtol(rest, &end, 10);
-            if (end == rest) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad enter record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            auto it = ctx.fnMap.find(static_cast<std::uint64_t>(id));
-            if (it == ctx.fnMap.end()) {
-                if (opts.policy != ReplayPolicy::Salvage) {
-                    ok = reject(TraceErrorCause::UnknownFunction,
-                                "unknown function id " +
-                                    std::to_string(id),
-                                true);
-                    break;
-                }
-                guest.enter(ctx.resolveFunction(
-                    static_cast<std::uint64_t>(id), offset, -1));
-            } else {
-                guest.enter(it->second);
-            }
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'L':
-            if (guest.callDepth() == 0) {
-                if (opts.policy == ReplayPolicy::Salvage) {
-                    ++report.leavesDropped;
-                    ++report.eventsDelivered;
-                    break;
-                }
-                ok = reject(TraceErrorCause::BadRecord,
-                            "leave with empty call stack", true);
-                break;
-            }
-            guest.leave();
-            ++report.eventsDelivered;
-            break;
-          case 'R':
-          case 'W': {
-            char *end = nullptr;
-            unsigned long long addr = std::strtoull(rest, &end, 10);
-            if (end == rest || *end != '\t') {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad access record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            unsigned long size = std::strtoul(end + 1, nullptr, 10);
-            if (size > kMaxAccessSize) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "unreasonable access size " +
-                                std::to_string(size),
-                            true);
-                break;
-            }
-            if (guest.callDepth() == 0) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "access outside any function", true);
-                break;
-            }
-            if (tag == 'R')
-                guest.read(static_cast<Addr>(addr),
-                           static_cast<unsigned>(size));
-            else
-                guest.write(static_cast<Addr>(addr),
-                            static_cast<unsigned>(size));
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'O': {
-            char *end = nullptr;
-            unsigned long long iops = std::strtoull(rest, &end, 10);
-            if (end == rest || *end != '\t') {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad op record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            unsigned long long flops = std::strtoull(end + 1, nullptr, 10);
-            if (guest.callDepth() == 0) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "op outside any function", true);
-                break;
-            }
-            if (iops)
-                guest.iop(iops);
-            if (flops)
-                guest.flop(flops);
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'B':
-            if (guest.callDepth() == 0) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "branch outside any function", true);
-                break;
-            }
-            guest.branch(rest[0] == '1');
-            ++report.eventsDelivered;
-            break;
-          case 'T': {
-            char *end = nullptr;
-            unsigned long tid = std::strtoul(rest, &end, 10);
-            if (end == rest || tid >= kMaxThreads) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad thread-switch record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            while (guest.numThreads() <= tid)
-                guest.spawnThread();
-            guest.switchThread(static_cast<ThreadId>(tid));
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'Z':
-            guest.barrier();
-            ++report.eventsDelivered;
-            break;
-          case 'I': {
-            bool begin = rest[0] == '1';
-            if (guest.inRoi() == begin) {
-                if (opts.policy == ReplayPolicy::Salvage) {
-                    ++report.roiDropped;
-                    ++report.eventsDelivered;
-                    break;
-                }
-                ok = reject(TraceErrorCause::BadRecord,
-                            begin ? "nested roi begin"
-                                  : "roi end outside roi",
-                            true);
-                break;
-            }
-            if (begin)
-                guest.roiBegin();
-            else
-                guest.roiEnd();
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'e':
-            if (line == "end") {
-                report.sawTrailer = true;
-                break;
-            }
-            ok = reject(TraceErrorCause::BadRecord,
-                        "unknown record tag 'e' in line '" + line + "'",
-                        true);
-            break;
-          default:
-            ok = reject(TraceErrorCause::BadRecord,
-                        "unknown record tag '" + std::string(1, tag) +
-                            "'",
-                        true);
-            break;
-        }
-        offset += line.size() + 1;
-        if (!ok)
-            return report;
-        if (report.sawTrailer)
-            break;
-    }
-    if (!saw_header) {
-        TraceError e;
-        e.cause = TraceErrorCause::BadMagic;
-        e.byteOffset = 0;
-        e.line = line_no;
-        e.detail = "empty input";
-        report.error = std::move(e);
-        return report;
-    }
-    if (!report.sawTrailer) {
-        report.truncated = true;
-        if (opts.policy != ReplayPolicy::Salvage) {
-            TraceError e;
-            e.cause = TraceErrorCause::Truncated;
-            e.byteOffset = offset;
-            e.line = line_no;
-            e.detail = "missing 'end' marker";
-            report.error = std::move(e);
-            return report;
-        }
-    }
-    guest.finish();
-    return report;
-}
-
-} // namespace
-
-std::uint64_t
-replayTrace(std::istream &is, Guest &guest)
-{
-    ReplayReport report = replayTextTrace(is, guest, ReplayOptions{});
-    if (report.error.has_value())
-        fatal("trace replay: %s", report.error->message().c_str());
-    return report.eventsDelivered;
-}
-
-ReplayReport
-replayTrace(std::istream &is, Guest &guest, const ReplayOptions &options)
-{
-    return replayTextTrace(is, guest, options);
-}
-
 ReplayReport
 replayBinaryTrace(std::istream &is, Guest &guest,
                   const ReplayOptions &options)
@@ -2864,56 +2223,18 @@ replayBinaryTrace(std::istream &is, Guest &guest)
     return report.eventsDelivered;
 }
 
-namespace {
-
-bool
-hasBinaryMagic(std::string_view data)
-{
-    return data.size() >= 4 &&
-           (std::memcmp(data.data(), kSgb1Magic, 4) == 0 ||
-            std::memcmp(data.data(), kSgb2Magic, 4) == 0 ||
-            std::memcmp(data.data(), kSgb3Magic, 4) == 0);
-}
-
-/** Zero-copy istream over an existing buffer (text replay on a view). */
-struct ViewBuf : std::streambuf
-{
-    explicit ViewBuf(std::string_view v)
-    {
-        char *p = const_cast<char *>(v.data());
-        setg(p, p, p + v.size());
-    }
-};
-
-ReplayReport
-replayFromView(std::string_view data, Guest &guest,
-               const ReplayOptions &options)
-{
-    if (hasBinaryMagic(data)) {
-        BinaryReplaySession session(data, guest, options);
-        while (session.step()) {
-        }
-        return session.finish();
-    }
-    ViewBuf buf(data);
-    std::istream is(&buf);
-    return replayTrace(is, guest, options);
-}
-
-} // namespace
-
 std::uint64_t
 replayTraceFile(const std::string &path, Guest &guest)
 {
     MappedTraceFile file(path);
     if (!file.ok())
         fatal("%s", file.errorDetail().c_str());
-    bool binary = hasBinaryMagic(file.view());
-    ReplayReport report =
-        replayFromView(file.view(), guest, ReplayOptions{});
+    BinaryReplaySession session(file.view(), guest);
+    while (session.step()) {
+    }
+    ReplayReport report = session.finish();
     if (report.error.has_value())
-        fatal(binary ? "binary trace: %s" : "trace replay: %s",
-              report.error->message().c_str());
+        fatal("binary trace: %s", report.error->message().c_str());
     return report.eventsDelivered;
 }
 
@@ -2930,29 +2251,22 @@ replayTraceFile(const std::string &path, Guest &guest,
         report.error = std::move(e);
         return report;
     }
-    return replayFromView(file.view(), guest, options);
+    BinaryReplaySession session(file.view(), guest, options);
+    while (session.step()) {
+    }
+    return session.finish();
 }
 
 std::vector<Sgb2BlockInfo>
 scanSgb2Blocks(std::string_view trace)
 {
     std::vector<Sgb2BlockInfo> blocks;
-    bool sgb3 = trace.size() >= 4 &&
-                std::memcmp(trace.data(), kSgb3Magic, 4) == 0;
-    if (!sgb3 && !(trace.size() >= 4 &&
-                   std::memcmp(trace.data(), kSgb2Magic, 4) == 0)) {
-        // Headerless fragment: let the first valid frame of either
-        // flavour pick the framing, as salvage replay does.
-        std::size_t p2 = findNextFrame(trace, 0, false);
-        std::size_t p3 = findNextFrame(trace, 0, true);
-        sgb3 = p3 < p2;
-    }
     std::size_t pos = 0;
     for (;;) {
-        pos = findNextFrame(trace, pos, sgb3);
+        pos = findNextFrame(trace, pos);
         if (pos == std::string_view::npos)
             break;
-        std::optional<FrameHeader> h = parseFrameAt(trace, pos, sgb3);
+        std::optional<FrameHeader> h = parseFrameAt(trace, pos);
         std::uint64_t frame_len = h->headerLen + h->payloadLen;
         if (pos + frame_len > trace.size()) {
             // Torn frame: the header is intact but the stored payload
@@ -2978,16 +2292,6 @@ scanSgb2Blocks(std::string_view trace)
             break;
     }
     return blocks;
-}
-
-std::uint64_t
-convertTextTraceToBinary(std::istream &text, std::ostream &bin,
-                         const std::string &program, TraceFormat format)
-{
-    Guest guest(program);
-    BinaryTraceRecorder recorder(bin, format);
-    guest.addTool(&recorder);
-    return replayTrace(text, guest);
 }
 
 } // namespace sigil::vg

@@ -4,11 +4,12 @@
  *
  * The centrepiece is the crash-kill sweep: a child process records a
  * trace through DurableTraceWriter and SIGKILLs itself at a
- * seed-dependent point mid-run, across SGB2/SGB3 and the synchronous
- * and async-writer paths. The parent then salvages the orphaned
+ * seed-dependent point mid-run, across the synchronous and
+ * async-writer paths. The parent then salvages the orphaned
  * `.tmp` file and asserts the recovery contract — every fully-framed
  * event in the file is delivered, nothing more, and the report says
- * the shutdown was not clean. Around it: async-vs-sync bit-identity
+ * the shutdown was not clean. Every recorded trace mixes LZ-compressed
+ * and stored-raw frames. Around it: async-vs-sync bit-identity
  * of the recorded bytes, the atomic tmp-file/rename publication
  * semantics of DurableTraceWriter, the clean-shutdown trailer on
  * intact traces, and ReplayReport::toString()/operator<< rendering.
@@ -94,6 +95,12 @@ driveWorkload(vg::Guest &g, std::uint64_t seed, int steps,
             g.read(addr, size);
             break;
         }
+        // An occasional sequential sweep: blocks holding one compress,
+        // the rest store raw, so traces mix both frame kinds.
+        if (rng.nextBounded(64) == 0) {
+            for (unsigned k = 0; k < 16; ++k)
+                g.read(addr + 8 * k, 8);
+        }
     }
     while (g.callDepth() > 0)
         g.leave();
@@ -103,7 +110,6 @@ driveWorkload(vg::Guest &g, std::uint64_t seed, int steps,
 struct SweepParams
 {
     std::uint64_t seed;
-    vg::TraceFormat format;
     bool async;
     int killStep;
 };
@@ -123,7 +129,7 @@ crashChild(const std::string &path, const SweepParams &p)
     gc.asyncWriter = p.async;
     gc.writerQueueFrames = 4;
     vg::Guest g("crash", gc);
-    vg::BinaryTraceRecorder rec(durable.stream(), p.format,
+    vg::BinaryTraceRecorder rec(durable.stream(), vg::TraceFormat::SGB3,
                                 kBlockEvents);
     g.addTool(&rec);
     driveWorkload(g, p.seed, 100000, p.killStep);
@@ -137,6 +143,21 @@ slurpFile(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
+}
+
+/**
+ * True when the trace holds both LZ-compressed and stored-raw event
+ * frames.
+ */
+bool
+mixedFrames(const std::string &trace)
+{
+    bool compressed = false, raw = false;
+    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+        if (b.tag == 0x02)
+            (b.compressed ? compressed : raw) = true;
+    }
+    return compressed && raw;
 }
 
 /** Sum of event counts over every fully-framed event block. */
@@ -181,12 +202,11 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
     }
     const int kSeeds = seeds;
     std::uint64_t recovered_total = 0;
+    int mixed_captures = 0;
     for (int s = 0; s < kSeeds; ++s) {
         SweepParams p;
         p.seed = 7700 + static_cast<std::uint64_t>(s);
-        p.format = (s % 2 == 0) ? vg::TraceFormat::SGB2
-                                : vg::TraceFormat::SGB3;
-        p.async = (s / 2) % 2 == 0;
+        p.async = s % 2 == 0;
         // Land kills from "barely past the header" to "thousands of
         // events in", so the tail frame is cut at varied offsets.
         p.killStep = 20 + static_cast<int>(
@@ -217,6 +237,7 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
 
         std::string trace = slurpFile(tmp);
         std::uint64_t expect = fullyFramedEvents(trace);
+        mixed_captures += mixedFrames(trace) ? 1 : 0;
         vg::ReplayReport report = salvageReplay(trace);
         EXPECT_EQ(report.eventsDelivered, expect)
             << "seed " << p.seed << " lost fully-framed events";
@@ -227,8 +248,10 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
         std::remove(tmp.c_str());
     }
     // Guard against a vacuous sweep: most kills land past several
-    // flushed frames, so the total recovery must be substantial.
+    // flushed frames, so the total recovery must be substantial, and
+    // most captures hold both compressed and stored-raw frames.
     EXPECT_GT(recovered_total, 100000u);
+    EXPECT_GT(mixed_captures, kSeeds / 2);
 }
 
 // ---------------------------------------------------------------------
@@ -237,40 +260,37 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
 
 TEST(DurableWriter, CleanRunPublishesFinalPathWithTrailer)
 {
-    for (vg::TraceFormat fmt :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        std::string path = ::testing::TempDir() + "/clean_" +
-                           std::to_string(static_cast<int>(fmt)) +
-                           ".trace";
-        std::remove(path.c_str());
-        std::remove((path + ".tmp").c_str());
-        {
-            vg::DurableTraceWriter durable(path, 1u << 12);
-            ASSERT_TRUE(durable.ok()) << durable.errorDetail();
-            vg::GuestConfig gc;
-            gc.asyncWriter = true;
-            vg::Guest g("clean", gc);
-            vg::BinaryTraceRecorder rec(durable.stream(), fmt,
-                                        kBlockEvents);
-            g.addTool(&rec);
-            driveWorkload(g, 99, 3000);
-            ASSERT_TRUE(durable.finalize()) << durable.errorDetail();
-            // Idempotent: a second finalize is a no-op that succeeds.
-            EXPECT_TRUE(durable.finalize());
-            EXPECT_GE(durable.syncCount(), 2u); // interval + finalize
-        }
-        struct stat st;
-        EXPECT_EQ(::stat(path.c_str(), &st), 0);
-        EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
-
-        vg::ReplayReport report = salvageReplay(slurpFile(path));
-        EXPECT_TRUE(report.ok());
-        EXPECT_TRUE(report.sawTrailer);
-        EXPECT_TRUE(report.cleanShutdown);
-        EXPECT_EQ(report.eventsDelivered, report.totalEventsRecorded);
-        EXPECT_EQ(report.eventsSkipped, 0u);
-        std::remove(path.c_str());
+    std::string path = ::testing::TempDir() + "/clean.trace";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    {
+        vg::DurableTraceWriter durable(path, 1u << 12);
+        ASSERT_TRUE(durable.ok()) << durable.errorDetail();
+        vg::GuestConfig gc;
+        gc.asyncWriter = true;
+        vg::Guest g("clean", gc);
+        vg::BinaryTraceRecorder rec(durable.stream(), vg::TraceFormat::SGB3,
+                                    kBlockEvents);
+        g.addTool(&rec);
+        driveWorkload(g, 99, 3000);
+        ASSERT_TRUE(durable.finalize()) << durable.errorDetail();
+        // Idempotent: a second finalize is a no-op that succeeds.
+        EXPECT_TRUE(durable.finalize());
+        EXPECT_GE(durable.syncCount(), 2u); // interval + finalize
     }
+    struct stat st;
+    EXPECT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
+
+    std::string trace = slurpFile(path);
+    EXPECT_TRUE(mixedFrames(trace));
+    vg::ReplayReport report = salvageReplay(trace);
+    EXPECT_TRUE(report.ok());
+    EXPECT_TRUE(report.sawTrailer);
+    EXPECT_TRUE(report.cleanShutdown);
+    EXPECT_EQ(report.eventsDelivered, report.totalEventsRecorded);
+    EXPECT_EQ(report.eventsSkipped, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(DurableWriter, NoFinalizeLeavesOnlyTmpFile)
@@ -305,31 +325,27 @@ TEST(DurableWriter, UnwritableDirectoryReportsError)
 // ---------------------------------------------------------------------
 
 std::string
-recordBytes(vg::TraceFormat fmt, bool async, std::uint64_t seed)
+recordBytes(bool async, std::uint64_t seed)
 {
     std::ostringstream os(std::ios::binary);
     vg::GuestConfig gc;
     gc.asyncWriter = async;
     gc.writerQueueFrames = 3;
     vg::Guest g("ident", gc);
-    vg::BinaryTraceRecorder rec(os, fmt, kBlockEvents);
+    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3, kBlockEvents);
     g.addTool(&rec);
     driveWorkload(g, seed, 5000);
-    EXPECT_EQ(rec.asyncActive(), async && fmt != vg::TraceFormat::SGB1);
+    EXPECT_EQ(rec.asyncActive(), async);
     return os.str();
 }
 
 TEST(AsyncWriter, BytesBitIdenticalToSync)
 {
-    for (vg::TraceFormat fmt :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        for (std::uint64_t seed : {11u, 12u, 13u}) {
-            std::string sync_bytes = recordBytes(fmt, false, seed);
-            std::string async_bytes = recordBytes(fmt, true, seed);
-            EXPECT_EQ(sync_bytes, async_bytes)
-                << "format " << static_cast<int>(fmt) << " seed "
-                << seed;
-        }
+    for (std::uint64_t seed : {11u, 12u, 13u}) {
+        std::string sync_bytes = recordBytes(false, seed);
+        std::string async_bytes = recordBytes(true, seed);
+        EXPECT_TRUE(mixedFrames(sync_bytes)) << "seed " << seed;
+        EXPECT_EQ(sync_bytes, async_bytes) << "seed " << seed;
     }
 }
 
@@ -348,19 +364,6 @@ TEST(AsyncWriter, QueuePeakIsBoundedAndObserved)
     EXPECT_LE(rec.writerQueuePeak(), 3u); // backpressure bound
 }
 
-TEST(AsyncWriter, Sgb1StaysSynchronous)
-{
-    std::ostringstream os(std::ios::binary);
-    vg::GuestConfig gc;
-    gc.asyncWriter = true;
-    vg::Guest g("sgb1", gc);
-    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB1);
-    g.addTool(&rec);
-    EXPECT_FALSE(rec.asyncActive());
-    EXPECT_EQ(rec.writerQueuePeak(), 0u);
-    driveWorkload(g, 5, 500);
-}
-
 // ---------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------
@@ -371,7 +374,7 @@ TEST(ReplayReportRender, ToStringAndStreamOperator)
     {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("render");
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2,
+        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3,
                                     kBlockEvents);
         g.addTool(&rec);
         driveWorkload(g, 42, 2000);

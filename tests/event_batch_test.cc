@@ -7,10 +7,9 @@
  * virtuals, sync-batched (Tool::processBatch), sync-batched with a tiny
  * buffer (flush-boundary stress), and the asynchronous double-buffered
  * pipeline — and requires the serialized profiles and event traces to
- * be bitwise identical across all of them. Also covers the binary trace
- * format: round-trip against text recording (including text→binary
- * conversion and the replayTraceFile format sniff), and rejection of
- * garbage and truncated inputs.
+ * be bitwise identical across all of them. Also covers the SGB3 trace
+ * format: recorder bytes under batching, round-trip against the live
+ * run, replayTraceFile, and rejection of garbage and truncated inputs.
  */
 
 #include <gtest/gtest.h>
@@ -280,14 +279,14 @@ TEST(EventBatch, SyncMakesToolStateCurrentMidRun)
 
 TEST(EventBatch, RecordersProduceIdenticalStreamsUnderBatching)
 {
-    // The text recorder must emit the same trace whether it sees
+    // The recorder must emit the same trace bytes whether it sees
     // per-event virtuals or batches (its native processBatch).
     auto record = [](bool batched) {
         vg::GuestConfig cfg;
         cfg.batchEvents = batched;
         vg::Guest g("recorder_diff", cfg);
-        std::ostringstream os;
-        vg::TraceRecorder rec(os);
+        std::ostringstream os(std::ios::binary);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveTrace(g, TraceParams{909, 0, 0, true, true, false});
         return os.str();
@@ -298,139 +297,85 @@ TEST(EventBatch, RecordersProduceIdenticalStreamsUnderBatching)
     EXPECT_GT(per_event.size(), 1000u);
 }
 
-/** Record one workload as both text and binary, per-event. */
-void
-recordBoth(const TraceParams &p, std::string &text, std::string &binary)
+/** Record one workload as an SGB3 trace, per-event. */
+std::string
+recordBinary(const TraceParams &p)
 {
     vg::Guest g("trace_roundtrip");
-    std::ostringstream tos;
     std::ostringstream bos(std::ios::binary);
-    vg::TraceRecorder trec(tos);
     vg::BinaryTraceRecorder brec(bos);
-    g.addTool(&trec);
     g.addTool(&brec);
     driveTrace(g, p);
-    EXPECT_EQ(trec.eventsWritten(), brec.eventsWritten());
-    text = tos.str();
-    binary = bos.str();
+    return bos.str();
 }
 
 /** Replay a trace into a profiler; serialize the profile. */
 std::string
-replayToProfile(const std::string &trace, bool binary)
+replayToProfile(const std::string &trace)
 {
     vg::Guest g("trace_roundtrip");
     core::SigilProfiler prof;
     g.addTool(&prof);
-    std::istringstream is(trace,
-                          binary ? std::ios::binary : std::ios::in);
-    std::uint64_t events = binary ? vg::replayBinaryTrace(is, g)
-                                  : vg::replayTrace(is, g);
-    EXPECT_GT(events, 1000u);
+    std::istringstream is(trace, std::ios::binary);
+    EXPECT_GT(vg::replayBinaryTrace(is, g), 1000u);
     std::ostringstream pos;
     core::writeProfile(pos, prof.takeProfile());
     return pos.str();
 }
 
-TEST(BinaryTrace, RoundTripMatchesTextReplay)
-{
-    TraceParams p{1111, 0, 0, true, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
-
-    // Binary is the whole point: it must be substantially smaller.
-    EXPECT_LT(binary.size(), text.size() / 2);
-
-    std::string from_text = replayToProfile(text, false);
-    std::string from_binary = replayToProfile(binary, true);
-    EXPECT_EQ(from_text, from_binary);
-    EXPECT_GT(from_text.size(), 100u);
-}
-
 TEST(BinaryTrace, RoiRoundTrips)
 {
-    // ROI marks survive both formats (the text format originally
-    // dropped them): an roiOnly profiler sees identical windows live,
-    // from text, and from binary.
+    // ROI marks survive the round trip: an roiOnly profiler sees
+    // identical windows live and from the trace.
     TraceParams p{2222, 0, 0, true, false, true};
 
     vg::Guest g("trace_roundtrip");
     core::SigilConfig scfg;
     scfg.roiOnly = true;
     core::SigilProfiler live(scfg);
-    std::ostringstream tos;
     std::ostringstream bos(std::ios::binary);
-    vg::TraceRecorder trec(tos);
     vg::BinaryTraceRecorder brec(bos);
     g.addTool(&live);
-    g.addTool(&trec);
     g.addTool(&brec);
     driveTrace(g, p);
 
     std::ostringstream live_pos;
     core::writeProfile(live_pos, live.takeProfile());
 
-    auto replay_roi = [](const std::string &trace, bool binary) {
-        vg::Guest rg("trace_roundtrip");
-        core::SigilConfig cfg;
-        cfg.roiOnly = true;
-        core::SigilProfiler prof(cfg);
-        rg.addTool(&prof);
-        std::istringstream is(trace, binary ? std::ios::binary
-                                            : std::ios::in);
-        if (binary)
-            vg::replayBinaryTrace(is, rg);
-        else
-            vg::replayTrace(is, rg);
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        return pos.str();
-    };
-
-    EXPECT_EQ(live_pos.str(), replay_roi(tos.str(), false));
-    EXPECT_EQ(live_pos.str(), replay_roi(bos.str(), true));
-}
-
-TEST(BinaryTrace, TextConversionMatchesDirectRecording)
-{
-    TraceParams p{3333, 6, 0, true, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
-
-    std::istringstream tin(text);
-    std::ostringstream bout(std::ios::binary);
-    std::uint64_t converted =
-        vg::convertTextTraceToBinary(tin, bout, "trace_roundtrip");
-    EXPECT_GT(converted, 1000u);
-
-    EXPECT_EQ(replayToProfile(binary, true),
-              replayToProfile(bout.str(), true));
+    vg::Guest rg("trace_roundtrip");
+    core::SigilProfiler prof(scfg);
+    rg.addTool(&prof);
+    std::istringstream is(bos.str(), std::ios::binary);
+    vg::replayBinaryTrace(is, rg);
+    std::ostringstream pos;
+    core::writeProfile(pos, prof.takeProfile());
+    EXPECT_EQ(live_pos.str(), pos.str());
 }
 
 TEST(BinaryTrace, FileSniffSelectsFormat)
 {
     TraceParams p{4444, 0, 0, false, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
+    std::string binary = recordBinary(p);
 
-    std::string dir = ::testing::TempDir();
-    std::string text_path = dir + "/sniff_trace.txt";
-    std::string bin_path = dir + "/sniff_trace.sgb";
-    std::ofstream(text_path, std::ios::binary) << text;
-    std::ofstream(bin_path, std::ios::binary) << binary;
+    std::string path = ::testing::TempDir() + "/sniff_trace.sgb";
+    std::ofstream(path, std::ios::binary) << binary;
+    vg::Guest g("trace_roundtrip");
+    core::SigilProfiler prof;
+    g.addTool(&prof);
+    vg::replayTraceFile(path, g);
+    std::ostringstream pos;
+    core::writeProfile(pos, prof.takeProfile());
+    EXPECT_EQ(pos.str(), replayToProfile(binary));
+    std::remove(path.c_str());
 
-    auto replay_file = [](const std::string &path) {
-        vg::Guest g("trace_roundtrip");
-        core::SigilProfiler prof;
-        g.addTool(&prof);
-        vg::replayTraceFile(path, g);
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        return pos.str();
-    };
-    EXPECT_EQ(replay_file(text_path), replay_file(bin_path));
+    // The magic check refuses a text trace.
+    std::string text_path = ::testing::TempDir() + "/sniff_trace.txt";
+    std::ofstream(text_path, std::ios::binary)
+        << "sigil-trace\t1\np\ttrace_roundtrip\nend\n";
+    vg::Guest tg("trace_roundtrip");
+    EXPECT_EXIT(vg::replayTraceFile(text_path, tg),
+                ::testing::ExitedWithCode(1), "bad magic");
     std::remove(text_path.c_str());
-    std::remove(bin_path.c_str());
 }
 
 TEST(BinaryTraceDeath, RejectsGarbage)
@@ -445,8 +390,7 @@ TEST(BinaryTraceDeath, RejectsGarbage)
 TEST(BinaryTraceDeath, RejectsTruncation)
 {
     TraceParams p{5555, 0, 0, false, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
+    std::string binary = recordBinary(p);
     // A cut mid-block surfaces as a truncation or a corrupt record,
     // never as a silent partial replay.
     std::string truncated = binary.substr(0, binary.size() / 2);

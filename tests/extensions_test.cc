@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "cdfg/dot_writer.hh"
 #include "cg/cg_tool.hh"
@@ -231,11 +232,12 @@ TEST(TraceIo, ReplayReproducesIdenticalProfile)
     // model must reproduce the profile exactly.
     const workloads::Workload *w = workloads::findWorkload("swaptions");
 
-    std::stringstream trace;
+    std::stringstream trace(std::ios::in | std::ios::out |
+                            std::ios::binary);
     core::SigilProfile original;
     {
         vg::Guest g(w->name);
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(trace);
         core::SigilProfiler prof;
         g.addTool(&recorder);
         g.addTool(&prof);
@@ -247,7 +249,7 @@ TEST(TraceIo, ReplayReproducesIdenticalProfile)
     vg::Guest replayed("swaptions");
     core::SigilProfiler prof2;
     replayed.addTool(&prof2);
-    std::uint64_t events = vg::replayTrace(trace, replayed);
+    std::uint64_t events = vg::replayBinaryTrace(trace, replayed);
     EXPECT_GT(events, 1000u);
 
     core::ProfileDiff d =
@@ -259,11 +261,12 @@ TEST(TraceIo, ThreadedTraceReplaysExactly)
 {
     const workloads::Workload *w =
         workloads::findWorkload("dedup_parallel");
-    std::stringstream trace;
+    std::stringstream trace(std::ios::in | std::ios::out |
+                            std::ios::binary);
     core::SigilProfile original;
     {
         vg::Guest g(w->name);
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(trace);
         core::SigilProfiler prof;
         g.addTool(&recorder);
         g.addTool(&prof);
@@ -276,7 +279,7 @@ TEST(TraceIo, ThreadedTraceReplaysExactly)
     vg::Guest replayed(w->name);
     core::SigilProfiler prof2;
     replayed.addTool(&prof2);
-    vg::replayTrace(trace, replayed);
+    vg::replayBinaryTrace(trace, replayed);
     EXPECT_EQ(replayed.numThreads(), 4u);
 
     core::SigilProfile back = prof2.takeProfile();
@@ -293,35 +296,38 @@ TEST(TraceIo, ReplayRejectsGarbage)
 {
     std::stringstream ss("not a trace\n");
     vg::Guest g("x");
-    EXPECT_EXIT(vg::replayTrace(ss, g), ::testing::ExitedWithCode(1),
-                "");
+    EXPECT_EXIT(vg::replayBinaryTrace(ss, g), ::testing::ExitedWithCode(1),
+                "bad magic");
 }
 
 TEST(TraceIo, ReplayRejectsTruncation)
 {
-    std::stringstream full;
+    std::ostringstream full(std::ios::binary);
     {
         vg::Guest g("t");
-        vg::TraceRecorder recorder(full);
+        vg::BinaryTraceRecorder recorder(full);
         g.addTool(&recorder);
         g.enter("main");
         g.iop(5);
         g.leave();
         g.finish();
     }
-    std::string text = full.str();
-    text.resize(text.size() - 5); // chop the "end" marker
-    std::stringstream cut(text);
+    // Chop the end frame: the stream stops without its trailer.
+    std::string bytes = full.str();
+    std::vector<vg::Sgb2BlockInfo> frames = vg::scanSgb2Blocks(bytes);
+    ASSERT_EQ(frames.back().tag, 0x00);
+    bytes.resize(static_cast<std::size_t>(frames.back().offset));
+    std::istringstream cut(bytes, std::ios::binary);
     vg::Guest g2("t");
-    EXPECT_EXIT(vg::replayTrace(cut, g2), ::testing::ExitedWithCode(1),
-                "");
+    EXPECT_EXIT(vg::replayBinaryTrace(cut, g2),
+                ::testing::ExitedWithCode(1), "missing end frame");
 }
 
 TEST(TraceIo, RecorderCountsEvents)
 {
-    std::stringstream ss;
+    std::ostringstream ss(std::ios::binary);
     vg::Guest g("t");
-    vg::TraceRecorder recorder(ss);
+    vg::BinaryTraceRecorder recorder(ss);
     g.addTool(&recorder);
     g.enter("main");
     g.iop(1);
@@ -333,8 +339,11 @@ TEST(TraceIo, RecorderCountsEvents)
     g.finish();
     // enter + op + write + read + branch + leave = 6.
     EXPECT_EQ(recorder.eventsWritten(), 6u);
-    EXPECT_NE(ss.str().find("sigil-trace"), std::string::npos);
-    EXPECT_NE(ss.str().find("end"), std::string::npos);
+    EXPECT_EQ(ss.str().rfind("SGB3", 0), 0u);
+    std::vector<vg::Sgb2BlockInfo> frames = vg::scanSgb2Blocks(ss.str());
+    ASSERT_FALSE(frames.empty());
+    EXPECT_EQ(frames.back().tag, 0x00); // end frame
+    EXPECT_EQ(frames.back().firstEventSeq, 6u);
 }
 
 } // namespace

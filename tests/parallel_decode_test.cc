@@ -2,15 +2,16 @@
  * @file
  * Differential suite for the pipelined parallel trace-ingestion path.
  *
- * Replays the same randomized workloads recorded as SGB2 and
- * LZ-compressed SGB3 through a SigilProfiler under decodeThreads
- * {1, 2, 4}, in per-event, asynchronous, and address-sharded dispatch,
- * and requires the serialized profiles and event traces to be bitwise
- * identical to the serial SGB2 reference. Also covers checkpoint /
- * resume driven straight from a file (mmap'd input) on compressed
- * traces with a parallel decoder, mmap-vs-stream replay equivalence,
- * and the LZ block codec itself (round-trip, incompressible fallback,
- * bounds-checked rejection of malformed streams).
+ * Replays randomized workloads recorded as LZ-compressed SGB3 through
+ * a SigilProfiler under decodeThreads {1, 2, 4}, in per-event,
+ * asynchronous, and address-sharded dispatch, and requires the
+ * serialized profiles and event traces to be bitwise identical to the
+ * recording run's own. Also covers checkpoint / resume driven straight
+ * from a file (mmap'd input) on compressed traces with a parallel
+ * decoder, mmap-vs-stream replay equivalence, rejection of the retired
+ * trace formats, and the LZ block codec itself (round-trip,
+ * incompressible fallback, bounds-checked rejection of malformed
+ * streams).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "core/checkpoint.hh"
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
+#include "support/crc32c.hh"
 #include "support/lz.hh"
 #include "support/rng.hh"
 #include "vg/guest.hh"
@@ -144,25 +146,47 @@ driveTrace(vg::Guest &g, const TraceParams &p, int steps = 3000)
     g.finish();
 }
 
-struct RecordedTraces
+/**
+ * One workload run recorded as SGB3, with the recording run's own
+ * serialized profile and event trace: the reference every replay must
+ * reproduce byte for byte.
+ */
+struct Recording
 {
-    std::string sgb2;
-    std::string sgb3;
+    std::string trace;
+    std::string profile;
+    std::string events;
 };
 
-/** Record the same workload run in both framings simultaneously, so
- *  the two images carry the identical event stream. */
-RecordedTraces
-recordTraces(const TraceParams &p, std::size_t block_events = 256)
+Recording
+record(const TraceParams &p, std::size_t block_events = 256)
 {
     vg::Guest g("pardec");
-    std::ostringstream o2(std::ios::binary), o3(std::ios::binary);
-    vg::BinaryTraceRecorder r2(o2, vg::TraceFormat::SGB2, block_events);
-    vg::BinaryTraceRecorder r3(o3, vg::TraceFormat::SGB3, block_events);
-    g.addTool(&r2);
-    g.addTool(&r3);
+    core::SigilProfiler live(profilerConfig(p));
+    std::ostringstream os(std::ios::binary);
+    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3, block_events);
+    g.addTool(&live);
+    g.addTool(&rec);
     driveTrace(g, p);
-    return {o2.str(), o3.str()};
+    Recording out;
+    out.trace = os.str();
+    std::ostringstream pos, eos;
+    core::writeProfile(pos, live.takeProfile());
+    core::writeEvents(eos, live.events());
+    out.profile = pos.str();
+    out.events = eos.str();
+    return out;
+}
+
+/** True when at least one frame is stored LZ-compressed. */
+bool
+anyCompressed(const std::string &trace)
+{
+    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+        if (b.compressed)
+            return true;
+    }
+    return false;
 }
 
 /** How replayed events reach the analysis tools. */
@@ -228,45 +252,25 @@ class ParallelDecodeDifferential
 TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
 {
     const TraceParams &p = GetParam();
-    RecordedTraces t = recordTraces(p);
-    // The compressed framing must actually engage on this workload —
-    // a smaller image AND per-frame compression visible in the scan,
-    // or the SGB3 legs would only exercise stored-raw frames.
-    ASSERT_LT(t.sgb3.size(), t.sgb2.size());
-    bool any_compressed = false;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(t.sgb3))
-        any_compressed |= b.compressed;
-    ASSERT_TRUE(any_compressed);
-
-    RunResult ref = replayOnce(t.sgb2, p, 1, Dispatch::PerEvent);
-    ASSERT_TRUE(ref.report.ok());
-    ASSERT_TRUE(ref.report.sawTrailer);
-    ASSERT_EQ(ref.report.eventsDelivered, ref.report.totalEventsRecorded);
+    Recording t = record(p);
+    // The compressed framing must actually engage on this workload, or
+    // the replays would only exercise stored-raw frames.
+    ASSERT_TRUE(anyCompressed(t.trace));
     // Guard against the vacuous pass.
-    ASSERT_GT(ref.profile.size(), 100u);
+    ASSERT_GT(t.profile.size(), 100u);
 
-    struct Variant
-    {
-        const std::string *trace;
-        const char *format;
-    };
-    for (const Variant &v : {Variant{&t.sgb2, "SGB2"},
-                             Variant{&t.sgb3, "SGB3"}}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            for (Dispatch d : {Dispatch::PerEvent, Dispatch::Async,
-                               Dispatch::Sharded}) {
-                SCOPED_TRACE(std::string(v.format) + " decodeThreads=" +
-                             std::to_string(threads) + " dispatch=" +
-                             dispatchName(d));
-                RunResult got = replayOnce(*v.trace, p, threads, d);
-                EXPECT_TRUE(got.report.ok());
-                EXPECT_EQ(got.report.eventsDelivered,
-                          ref.report.eventsDelivered);
-                EXPECT_EQ(got.report.totalEventsRecorded,
-                          ref.report.totalEventsRecorded);
-                EXPECT_EQ(ref.profile, got.profile);
-                EXPECT_EQ(ref.events, got.events);
-            }
+    for (unsigned threads : {1u, 2u, 4u}) {
+        for (Dispatch d :
+             {Dispatch::PerEvent, Dispatch::Async, Dispatch::Sharded}) {
+            SCOPED_TRACE("decodeThreads=" + std::to_string(threads) +
+                         " dispatch=" + dispatchName(d));
+            RunResult got = replayOnce(t.trace, p, threads, d);
+            EXPECT_TRUE(got.report.ok());
+            EXPECT_TRUE(got.report.sawTrailer);
+            EXPECT_EQ(got.report.eventsDelivered,
+                      got.report.totalEventsRecorded);
+            EXPECT_EQ(t.profile, got.profile);
+            EXPECT_EQ(t.events, got.events);
         }
     }
 }
@@ -275,17 +279,12 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
 {
     const TraceParams &p = GetParam();
     // Small blocks so the checkpoint interval fires many times.
-    RecordedTraces t = recordTraces(p, 64);
-    RunResult ref = replayOnce(t.sgb2, p, 1, Dispatch::PerEvent);
-    ASSERT_TRUE(ref.report.sawTrailer);
-    bool any_compressed = false;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(t.sgb3))
-        any_compressed |= b.compressed;
-    ASSERT_TRUE(any_compressed);
+    Recording t = record(p, 64);
+    ASSERT_TRUE(anyCompressed(t.trace));
 
     std::string trace_path =
         ::testing::TempDir() + "/pardec_trace_" + std::to_string(p.seed);
-    writeFile(trace_path, t.sgb3);
+    writeFile(trace_path, t.trace);
     std::string ckpt_path =
         ::testing::TempDir() + "/pardec_ckpt_" + std::to_string(p.seed);
     std::remove(ckpt_path.c_str());
@@ -304,20 +303,20 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
             trace_path, g, prof, vg::ReplayOptions{}, cc, &st);
         EXPECT_TRUE(r.ok());
         EXPECT_TRUE(r.sawTrailer);
-        EXPECT_EQ(r.eventsDelivered, ref.report.eventsDelivered);
+        EXPECT_EQ(r.eventsDelivered, r.totalEventsRecorded);
         std::ostringstream pos, eos;
         core::writeProfile(pos, prof.takeProfile());
         core::writeEvents(eos, prof.events());
         return std::make_pair(pos.str(), eos.str());
     };
 
-    // Fresh run writes checkpoints and matches the serial reference.
+    // Fresh run writes checkpoints and matches the recording run.
     core::CheckpointStats st1;
     auto out1 = run(st1);
     EXPECT_FALSE(st1.resumed);
     EXPECT_GE(st1.checkpointsWritten, 2u);
-    EXPECT_EQ(out1.first, ref.profile);
-    EXPECT_EQ(out1.second, ref.events);
+    EXPECT_EQ(out1.first, t.profile);
+    EXPECT_EQ(out1.second, t.events);
 
     // Second run resumes mid-stream from the mmap'd compressed trace
     // with a parallel decoder and is still bit-identical.
@@ -325,8 +324,8 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     auto out2 = run(st2);
     EXPECT_TRUE(st2.resumed);
     EXPECT_GT(st2.resumeBlocks, 0u);
-    EXPECT_EQ(out2.first, ref.profile);
-    EXPECT_EQ(out2.second, ref.events);
+    EXPECT_EQ(out2.first, t.profile);
+    EXPECT_EQ(out2.second, t.events);
 
     std::remove(trace_path.c_str());
     std::remove(ckpt_path.c_str());
@@ -363,51 +362,158 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MappedTrace, MmapReplayMatchesStreamReplay)
 {
     TraceParams p{42, 0, 0, true, true, false};
-    RecordedTraces t = recordTraces(p);
+    Recording t = record(p);
+    std::string path = ::testing::TempDir() + "/pardec_mmap";
+    writeFile(path, t.trace);
 
-    for (const std::string *trace : {&t.sgb2, &t.sgb3}) {
-        std::string path = ::testing::TempDir() + "/pardec_mmap";
-        writeFile(path, *trace);
+    vg::MappedTraceFile mapped(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.errorDetail();
+    ASSERT_EQ(mapped.view().size(), t.trace.size());
+    ASSERT_EQ(std::string(mapped.view()), t.trace);
 
-        vg::MappedTraceFile mapped(path);
-        ASSERT_TRUE(mapped.ok()) << mapped.errorDetail();
-        ASSERT_EQ(mapped.view().size(), trace->size());
-        ASSERT_EQ(std::string(mapped.view()), *trace);
-
-        RunResult ref = replayOnce(*trace, p, 1, Dispatch::PerEvent);
-        vg::GuestConfig gc;
-        gc.decodeThreads = 4;
-        vg::Guest g("pardec", gc);
+    RunResult ref;
+    {
+        vg::Guest g("pardec");
         core::SigilProfiler prof(profilerConfig(p));
         g.addTool(&prof);
-        vg::BinaryReplaySession session(mapped.view(), g);
-        while (session.step()) {
-        }
-        vg::ReplayReport r = session.finish();
-        EXPECT_TRUE(r.sawTrailer);
-        EXPECT_EQ(r.eventsDelivered, ref.report.eventsDelivered);
+        std::istringstream is(t.trace, std::ios::binary);
+        ref.report = vg::replayBinaryTrace(is, g, vg::ReplayOptions{});
         std::ostringstream pos;
         core::writeProfile(pos, prof.takeProfile());
-        EXPECT_EQ(pos.str(), ref.profile);
-
-        std::remove(path.c_str());
+        ref.profile = pos.str();
     }
+    vg::GuestConfig gc;
+    gc.decodeThreads = 4;
+    vg::Guest g("pardec", gc);
+    core::SigilProfiler prof(profilerConfig(p));
+    g.addTool(&prof);
+    vg::BinaryReplaySession session(mapped.view(), g);
+    while (session.step()) {
+    }
+    vg::ReplayReport r = session.finish();
+    EXPECT_TRUE(r.sawTrailer);
+    EXPECT_EQ(r.eventsDelivered, ref.report.eventsDelivered);
+    std::ostringstream pos;
+    core::writeProfile(pos, prof.takeProfile());
+    EXPECT_EQ(pos.str(), ref.profile);
+    EXPECT_EQ(pos.str(), t.profile);
+
+    std::remove(path.c_str());
+}
+
+void
+putVarint(std::string &out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<char>(v | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<char>(v));
+}
+
+void
+putU32le(std::string &out, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/**
+ * Well-formed traces in the retired formats, each holding one
+ * function record and an enter/leave pair: text, SGB1 (unframed
+ * sections) and SGB2 (CRC-framed, SGB3's framing without the flags
+ * byte and with 0xb2 sync bytes).
+ */
+std::vector<std::pair<std::string, std::string>>
+retiredTraces()
+{
+    std::string text =
+        "sigil-trace\t1\np\tpardec\nF\t0\tmain\nE\t0\nL\nend\n";
+
+    std::string sgb1 = "SGB1";
+    putVarint(sgb1, 1);
+    putVarint(sgb1, 6);
+    sgb1 += "pardec";
+    sgb1 += '\x01'; // function record: id 0, "main"
+    putVarint(sgb1, 0);
+    putVarint(sgb1, 4);
+    sgb1 += "main";
+    sgb1 += '\x02'; // event block: enter fn 0, leave
+    putVarint(sgb1, 2);
+    sgb1 += "\x06";
+    sgb1 += '\0';
+    sgb1 += "\x07";
+    sgb1 += '\0'; // end
+
+    auto frame = [](std::uint8_t tag, std::uint64_t seq,
+                    std::uint64_t first, std::uint64_t count,
+                    const std::string &payload) {
+        std::string f = "\xa7SB\xb2";
+        f += static_cast<char>(tag);
+        putVarint(f, seq);
+        putVarint(f, first);
+        putVarint(f, count);
+        putVarint(f, payload.size());
+        putU32le(f, crc32c(payload.data(), payload.size()));
+        putU32le(f, crc32c(f.data(), f.size()));
+        return f + payload;
+    };
+    std::string sgb2 = "SGB2";
+    putVarint(sgb2, 1);
+    putVarint(sgb2, 6);
+    sgb2 += "pardec";
+    std::string fns;
+    putVarint(fns, 0);
+    putVarint(fns, 4);
+    fns += "main";
+    sgb2 += frame(0x01, 0, 0, 0, fns);
+    std::string evs = "\x06";
+    evs += '\0';
+    evs += "\x07";
+    sgb2 += frame(0x02, 1, 0, 2, evs);
+    sgb2 += frame(0x00, 2, 2, 0, {});
+
+    return {{"text", text}, {"SGB1", sgb1}, {"SGB2", sgb2}};
 }
 
 TEST(MappedTrace, ReplayTraceFileSniffsEveryFormat)
 {
     TraceParams p{43, 0, 0, false, false, false};
-    RecordedTraces t = recordTraces(p);
-    RunResult ref = replayOnce(t.sgb2, p, 1, Dispatch::PerEvent);
-
-    for (const std::string *trace : {&t.sgb2, &t.sgb3}) {
-        std::string path = ::testing::TempDir() + "/pardec_sniff";
-        writeFile(path, *trace);
+    Recording t = record(p);
+    std::string path = ::testing::TempDir() + "/pardec_sniff";
+    writeFile(path, t.trace);
+    {
         vg::Guest g("pardec");
         std::uint64_t events = vg::replayTraceFile(path, g);
-        EXPECT_EQ(events, ref.report.eventsDelivered);
-        std::remove(path.c_str());
+        EXPECT_GT(events, 1000u);
+        EXPECT_EQ(events, vg::scanSgb2Blocks(t.trace).back().firstEventSeq);
     }
+
+    // Only SGB3 is readable. A retired format is a structured BadMagic
+    // under strict replay, and salvage finds no frame to deliver from.
+    for (const auto &[format, bytes] : retiredTraces()) {
+        SCOPED_TRACE(format);
+        writeFile(path, bytes);
+        vg::Guest strict_guest("pardec");
+        vg::ReplayReport strict =
+            vg::replayTraceFile(path, strict_guest, vg::ReplayOptions{});
+        ASSERT_TRUE(strict.error.has_value());
+        EXPECT_EQ(strict.error->cause, vg::TraceErrorCause::BadMagic);
+        EXPECT_EQ(strict.error->byteOffset, 0u);
+        EXPECT_EQ(strict.eventsDelivered, 0u);
+
+        vg::Guest salvage_guest("pardec");
+        vg::ReplayOptions opts;
+        opts.policy = vg::ReplayPolicy::Salvage;
+        vg::ReplayReport salvage =
+            vg::replayTraceFile(path, salvage_guest, opts);
+        EXPECT_EQ(salvage.eventsDelivered, 0u);
+        EXPECT_FALSE(salvage.sawTrailer);
+        EXPECT_TRUE(salvage.sawCorruption());
+        ASSERT_FALSE(salvage.errors.empty());
+        EXPECT_EQ(salvage.errors[0].cause, vg::TraceErrorCause::BadMagic);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(MappedTrace, MissingFileReportsError)

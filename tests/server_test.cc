@@ -115,14 +115,14 @@ driveWorkload(vg::Guest &g, std::uint64_t seed, int iters)
     g.finish();
 }
 
-/** Record one seeded workload as an SGB2 trace file; returns path. */
+/** Record one seeded workload as an SGB3 trace file; returns path. */
 std::string
 recordTrace(const std::string &path, std::uint64_t seed,
             int iters = 4000)
 {
     std::ofstream os(path, std::ios::binary);
     vg::Guest g("record");
-    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2);
+    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3);
     g.addTool(&rec);
     driveWorkload(g, seed, iters);
     return path;

@@ -324,13 +324,13 @@ TEST(ShardedReplay, ShardedStatsMatchSerialShadowStats)
 // Checkpoint / resume under sharding
 // ---------------------------------------------------------------------
 
-/** Record the workload as an SGB2 binary trace. */
+/** Record the workload as an SGB3 trace. */
 std::string
 recordTrace(const TraceParams &p, int steps = 1500)
 {
     vg::Guest g("sharded_ckpt");
     std::ostringstream bos(std::ios::binary);
-    vg::BinaryTraceRecorder rec(bos, vg::TraceFormat::SGB2, 64);
+    vg::BinaryTraceRecorder rec(bos, vg::TraceFormat::SGB3, 64);
     g.addTool(&rec);
     driveTrace(g, p, steps);
     return bos.str();

@@ -2,17 +2,18 @@
  * @file
  * Robustness suite for the hardened trace-ingestion path.
  *
- * Exercises the ingestion contract end to end: SGB2 framing round-trips
- * and back-compat with SGB1, bounds-checked decoding of adversarial
- * bytes (including CRC-valid frames with hostile payloads), salvage
- * recovery from truncation at every byte offset and from any single
- * corrupted block, the deterministic fault-injection sweep ("never
- * crash, always account"), full-report equivalence of the
- * frame-parallel decode pipeline with the serial decoder on damaged
- * SGB2 and compressed SGB3 inputs, checkpoint/resume bit-identity
- * across the shadow configurations, the shadow-pressure degradation
- * ladder, and the structured line/offset error reporting of the text
- * parsers.
+ * Exercises the ingestion contract end to end: SGB3 framing
+ * round-trips, bounds-checked decoding of adversarial bytes (including
+ * CRC-valid frames with hostile payloads), salvage recovery from
+ * truncation at every byte offset and from any single corrupted block,
+ * the deterministic fault-injection sweep ("never crash, always
+ * account"), full-report equivalence of the frame-parallel decode
+ * pipeline with the serial decoder on damaged inputs, checkpoint/resume
+ * bit-identity across the shadow configurations, the shadow-pressure
+ * degradation ladder, and the structured line/offset error reporting
+ * of the profile and event text parsers. Every sweep runs over traces
+ * that mix LZ-compressed and stored-raw frames, so both payload paths
+ * of the decoder see the damage.
  */
 
 #include <gtest/gtest.h>
@@ -153,6 +154,12 @@ driveTrace(vg::Guest &g, const TraceParams &p, int steps)
         }
         if (g.callDepth() > 0 && rng.nextBounded(32) == 0)
             g.branch(rng.nextBounded(2) == 0);
+        // An occasional sequential sweep: blocks holding one compress,
+        // the rest store raw, so traces mix both frame kinds.
+        if (g.callDepth() > 0 && rng.nextBounded(64) == 0) {
+            for (unsigned k = 0; k < 16; ++k)
+                g.read(addr + 8 * k, 8);
+        }
     }
     for (vg::ThreadId t : threads) {
         g.switchThread(t);
@@ -162,29 +169,33 @@ driveTrace(vg::Guest &g, const TraceParams &p, int steps)
     g.finish();
 }
 
-/** Record the workload as a binary trace. */
+/** Record the workload as an SGB3 trace. */
 std::string
-recordTrace(const TraceParams &p, vg::TraceFormat format,
-            std::size_t block_events, int steps = 1500)
+recordTrace(const TraceParams &p, std::size_t block_events,
+            int steps = 1500)
 {
     vg::Guest g("robust");
     std::ostringstream bos(std::ios::binary);
-    vg::BinaryTraceRecorder rec(bos, format, block_events);
+    vg::BinaryTraceRecorder rec(bos, vg::TraceFormat::SGB3, block_events);
     g.addTool(&rec);
     driveTrace(g, p, steps);
     return bos.str();
 }
 
-/** Record the workload as a text trace. */
-std::string
-recordTextTrace(const TraceParams &p, int steps = 300)
+/**
+ * Assert the trace holds both LZ-compressed and stored-raw event
+ * frames, so a sweep over it damages both decoder payload paths.
+ */
+void
+expectMixedFrames(const std::string &trace)
 {
-    vg::Guest g("robust");
-    std::ostringstream tos;
-    vg::TraceRecorder rec(tos);
-    g.addTool(&rec);
-    driveTrace(g, p, steps);
-    return tos.str();
+    std::size_t compressed = 0, raw = 0;
+    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+        if (b.tag == 0x02)
+            ++(b.compressed ? compressed : raw);
+    }
+    EXPECT_GT(compressed, 0u);
+    EXPECT_GT(raw, 0u);
 }
 
 struct ReplayOutcome
@@ -257,7 +268,7 @@ expectReportsEqual(const vg::ReplayReport &a, const vg::ReplayReport &b)
         same(*a.error, *b.error);
 }
 
-/** Total recorded events per the trailer frame of an SGB2 image. */
+/** Total recorded events per the trailer frame of a trace image. */
 std::uint64_t
 recordedTotal(const std::string &trace)
 {
@@ -273,7 +284,7 @@ recordedTotal(const std::string &trace)
 }
 
 // ---------------------------------------------------------------------
-// Test-local SGB2 frame builder (mirrors BinaryTraceRecorder's layout)
+// Test-local SGB3 frame builder (mirrors BinaryTraceRecorder's layout)
 // ---------------------------------------------------------------------
 
 void
@@ -302,7 +313,7 @@ zigzagS(std::int64_t v)
            static_cast<std::uint64_t>(v >> 63);
 }
 
-/** Build one CRC-valid SGB2 frame around an arbitrary payload. */
+/** Build one CRC-valid, stored-raw SGB3 frame around a payload. */
 std::string
 makeFrame(std::uint8_t tag, std::uint64_t block_seq,
           std::uint64_t first_event, std::uint64_t event_count,
@@ -312,11 +323,13 @@ makeFrame(std::uint8_t tag, std::uint64_t block_seq,
     f.push_back(static_cast<char>(0xa7));
     f.push_back('S');
     f.push_back('B');
-    f.push_back(static_cast<char>(0xb2));
+    f.push_back(static_cast<char>(0xb3));
     f.push_back(static_cast<char>(tag));
     putVarintS(f, block_seq);
     putVarintS(f, first_event);
     putVarintS(f, event_count);
+    putVarintS(f, payload.size());
+    f.push_back('\0'); // flags: stored raw
     putVarintS(f, payload.size());
     putU32leS(f, crc32c(payload.data(), payload.size()));
     putU32leS(f, crc32c(f.data(), f.size()));
@@ -327,14 +340,14 @@ makeFrame(std::uint8_t tag, std::uint64_t block_seq,
 std::string
 tracePreamble(const std::string &name)
 {
-    std::string t = "SGB2";
+    std::string t = "SGB3";
     putVarintS(t, 1);
     putVarintS(t, name.size());
     t += name;
     return t;
 }
 
-// Opcodes and tags as documented in docs/FORMATS.md §3.2.
+// Opcodes and tags as documented in docs/FORMATS.md §3.
 constexpr std::uint8_t kOpRead = 1;
 constexpr std::uint8_t kOpOp = 3;
 constexpr std::uint8_t kOpEnter = 6;
@@ -388,67 +401,46 @@ replayRaw(const std::string &trace, vg::ReplayPolicy policy)
 }
 
 // ---------------------------------------------------------------------
-// SGB2 round-trip and back-compat
+// SGB3 round trip and frame scan
 // ---------------------------------------------------------------------
 
-TEST(Sgb2Format, RoundTripMatchesSgb1AndScans)
+TEST(Sgb3Format, RoundTripMatchesLiveRunAndScans)
 {
     TraceParams p{11, 0, 0, true, true, false};
     vg::Guest g("robust");
-    std::ostringstream b1(std::ios::binary), b2(std::ios::binary);
-    vg::BinaryTraceRecorder r1(b1, vg::TraceFormat::SGB1, 128);
-    vg::BinaryTraceRecorder r2(b2, vg::TraceFormat::SGB2, 128);
-    g.addTool(&r1);
-    g.addTool(&r2);
+    core::SigilProfiler live(profilerConfig(p));
+    std::ostringstream bos(std::ios::binary);
+    vg::BinaryTraceRecorder rec(bos, vg::TraceFormat::SGB3, 128);
+    g.addTool(&live);
+    g.addTool(&rec);
     driveTrace(g, p, 1500);
-    EXPECT_EQ(r1.eventsWritten(), r2.eventsWritten());
+    std::ostringstream live_pos, live_eos;
+    core::writeProfile(live_pos, live.takeProfile());
+    core::writeEvents(live_eos, live.events());
+    const std::string trace = bos.str();
 
-    ReplayOutcome o1 =
-        replayBinary(b1.str(), p, vg::ReplayPolicy::Strict);
-    ReplayOutcome o2 =
-        replayBinary(b2.str(), p, vg::ReplayPolicy::Strict);
-    EXPECT_TRUE(o1.report.ok());
-    EXPECT_TRUE(o2.report.ok());
-    EXPECT_TRUE(o2.report.sawTrailer);
-    EXPECT_FALSE(o2.report.sawCorruption());
-    EXPECT_EQ(o2.report.eventsDelivered, o2.report.totalEventsRecorded);
-    EXPECT_EQ(o1.profile, o2.profile);
-    EXPECT_EQ(o1.events, o2.events);
-    EXPECT_GT(o2.profile.size(), 100u);
+    ReplayOutcome o = replayBinary(trace, p, vg::ReplayPolicy::Strict);
+    EXPECT_TRUE(o.report.ok());
+    EXPECT_TRUE(o.report.sawTrailer);
+    EXPECT_TRUE(o.report.cleanShutdown);
+    EXPECT_FALSE(o.report.sawCorruption());
+    EXPECT_EQ(o.report.eventsDelivered, o.report.totalEventsRecorded);
+    EXPECT_EQ(o.profile, live_pos.str());
+    EXPECT_EQ(o.events, live_eos.str());
+    EXPECT_GT(o.profile.size(), 100u);
 
     // The frame scan sees every block and the trailer's event total;
     // the end frame is the last bytes of the file.
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(b2.str());
+    expectMixedFrames(trace);
+    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
     ASSERT_GE(blocks.size(), 5u);
     EXPECT_EQ(blocks.back().tag, kTagEnd);
-    EXPECT_EQ(blocks.back().firstEventSeq, r2.eventsWritten());
-    EXPECT_EQ(blocks.back().offset + blocks.back().length,
-              b2.str().size());
+    EXPECT_EQ(blocks.back().firstEventSeq, rec.eventsWritten());
+    EXPECT_EQ(blocks.back().offset + blocks.back().length, trace.size());
     std::uint64_t counted = 0;
     for (const vg::Sgb2BlockInfo &b : blocks)
         counted += b.eventCount;
-    EXPECT_EQ(counted, r2.eventsWritten());
-    // SGB1 has no frames to find.
-    EXPECT_TRUE(vg::scanSgb2Blocks(b1.str()).empty());
-}
-
-TEST(Sgb2Format, LegacySgb1EntryPointIsUnchanged)
-{
-    TraceParams p{22, 6, 0, true, false, false};
-    std::string sgb1 = recordTrace(p, vg::TraceFormat::SGB1, 4096);
-    std::string sgb2 = recordTrace(p, vg::TraceFormat::SGB2, 4096);
-
-    vg::Guest g("robust");
-    core::SigilProfiler prof(profilerConfig(p));
-    g.addTool(&prof);
-    std::istringstream is(sgb1, std::ios::binary);
-    std::uint64_t events = vg::replayBinaryTrace(is, g);
-    EXPECT_GT(events, 500u);
-    std::ostringstream pos;
-    core::writeProfile(pos, prof.takeProfile());
-
-    ReplayOutcome o2 = replayBinary(sgb2, p, vg::ReplayPolicy::Strict);
-    EXPECT_EQ(pos.str(), o2.profile);
+    EXPECT_EQ(counted, rec.eventsWritten());
 }
 
 // ---------------------------------------------------------------------
@@ -457,7 +449,7 @@ TEST(Sgb2Format, LegacySgb1EntryPointIsUnchanged)
 
 TEST(AdversarialInput, UnterminatedPreambleVarintIsContained)
 {
-    std::string bad = "SGB2";
+    std::string bad = "SGB3";
     bad.append(12, '\x80'); // a varint that never terminates
     for (vg::ReplayPolicy policy :
          {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
@@ -474,7 +466,7 @@ TEST(AdversarialInput, UnterminatedPreambleVarintIsContained)
 
 TEST(AdversarialInput, AbsurdNameLengthIsRejected)
 {
-    std::string bad = "SGB2";
+    std::string bad = "SGB3";
     putVarintS(bad, 1);
     putVarintS(bad, std::uint64_t{1} << 40); // name "length"
     bad.append(64, 'x');
@@ -492,9 +484,9 @@ TEST(AdversarialInput, RandomGarbageNeverCrashesAnyParser)
         junk.reserve(len);
         for (std::size_t j = 0; j < len; ++j)
             junk.push_back(static_cast<char>(rng.nextBounded(256)));
-        // Half the buffers masquerade as SGB2 to reach the frame layer.
+        // Half the buffers masquerade as SGB3 to reach the frame layer.
         if (i % 2 == 0 && junk.size() > 4)
-            junk.replace(0, 4, "SGB2");
+            junk.replace(0, 4, "SGB3");
         for (vg::ReplayPolicy policy :
              {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
             QuietLogs quiet;
@@ -505,11 +497,6 @@ TEST(AdversarialInput, RandomGarbageNeverCrashesAnyParser)
                 std::istringstream is(junk, std::ios::binary);
                 vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
                 EXPECT_TRUE(r.sawCorruption() || r.sawTrailer);
-            }
-            {
-                vg::Guest g("robust");
-                std::istringstream is(junk);
-                (void)vg::replayTrace(is, g, opts);
             }
         }
         {
@@ -599,9 +586,10 @@ TEST(AdversarialInput, UnknownOpcodeIsContained)
 TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
 {
     TraceParams p{33, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 32, 250);
+    std::string trace = recordTrace(p, 32, 250);
     std::uint64_t total = recordedTotal(trace);
     ASSERT_GT(total, 100u);
+    expectMixedFrames(trace);
 
     for (std::size_t cut = 0; cut < trace.size(); ++cut) {
         SCOPED_TRACE("cut at " + std::to_string(cut));
@@ -622,7 +610,7 @@ TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
     // A mid-stream cut replayed into a profiler with events on: salvage
     // still yields a profile, flagged as truncated and trailer-less.
     TraceParams pe{101, 0, 0, true, true, false};
-    std::string full = recordTrace(pe, vg::TraceFormat::SGB2, 64);
+    std::string full = recordTrace(pe, 64);
     ReplayOutcome mid = replayBinary(full.substr(0, full.size() * 2 / 3),
                                      pe, vg::ReplayPolicy::Salvage);
     EXPECT_TRUE(mid.report.ok());
@@ -636,8 +624,9 @@ TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
     // The second input collects events under an evicting shadow.
     for (TraceParams p : {TraceParams{44, 0, 0, true, false, false},
                           TraceParams{202, 0, 6, true, true, false}}) {
-        std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+        std::string trace = recordTrace(p, 64);
         std::uint64_t total = recordedTotal(trace);
+        expectMixedFrames(trace);
         std::vector<vg::Sgb2BlockInfo> blocks =
             vg::scanSgb2Blocks(trace);
 
@@ -681,69 +670,84 @@ TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
 TEST(SalvageRecovery, DamagedHeaderResynchronizesOnNextFrame)
 {
     TraceParams p{45, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
+    expectMixedFrames(trace);
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-    std::size_t vi = 0;
-    for (std::size_t i = 2; i < blocks.size() - 1; ++i)
-        if (blocks[i].tag == kTagEvents) {
-            vi = i;
-            break;
-        }
-    ASSERT_GT(vi, 0u);
 
-    std::string bad = trace;
-    bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
+    // Damage the header of the first compressed and the first
+    // stored-raw event frame past the preamble's neighbourhood.
+    for (bool compressed : {true, false}) {
+        SCOPED_TRACE(compressed ? "compressed victim" : "raw victim");
+        std::size_t vi = 0;
+        for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
+            if (blocks[i].tag == kTagEvents &&
+                blocks[i].compressed == compressed) {
+                vi = i;
+                break;
+            }
+        ASSERT_GT(vi, 0u);
 
-    vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Salvage);
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r.sawTrailer);
-    EXPECT_GE(r.resyncs, 1u);
-    EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
-    EXPECT_EQ(r.eventsSkipped, blocks[vi].eventCount);
+        std::string bad = trace;
+        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
+
+        vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Salvage);
+        EXPECT_TRUE(r.ok());
+        EXPECT_TRUE(r.sawTrailer);
+        EXPECT_GE(r.resyncs, 1u);
+        EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+        EXPECT_EQ(r.eventsSkipped, blocks[vi].eventCount);
+    }
 }
 
 TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
 {
     TraceParams p{55, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
+    expectMixedFrames(trace);
     ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
 
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-    const vg::Sgb2BlockInfo *victim = nullptr;
-    for (const vg::Sgb2BlockInfo &b : blocks)
-        if (b.tag == kTagEvents && b.firstEventSeq > 0) {
-            victim = &b;
-            break;
-        }
-    ASSERT_NE(victim, nullptr);
+    for (bool compressed : {true, false}) {
+        SCOPED_TRACE(compressed ? "compressed duplicate" : "raw duplicate");
+        const vg::Sgb2BlockInfo *victim = nullptr;
+        for (const vg::Sgb2BlockInfo &b : blocks)
+            if (b.tag == kTagEvents && b.firstEventSeq > 0 &&
+                b.compressed == compressed) {
+                victim = &b;
+                break;
+            }
+        ASSERT_NE(victim, nullptr);
 
-    std::string dup = trace;
-    dup.insert(victim->offset + victim->length,
-               trace.substr(victim->offset, victim->length));
+        std::string dup = trace;
+        dup.insert(victim->offset + victim->length,
+                   trace.substr(victim->offset, victim->length));
 
-    ReplayOutcome o = replayBinary(dup, p, vg::ReplayPolicy::Salvage);
-    EXPECT_TRUE(o.report.ok());
-    EXPECT_EQ(o.report.blocksStale, 1u);
-    EXPECT_EQ(o.report.eventsDelivered, total);
-    EXPECT_EQ(o.report.eventsSkipped, 0u);
-    // The duplicate is dropped without touching the analysis.
-    EXPECT_EQ(o.profile, ref.profile);
+        ReplayOutcome o = replayBinary(dup, p, vg::ReplayPolicy::Salvage);
+        EXPECT_TRUE(o.report.ok());
+        EXPECT_EQ(o.report.blocksStale, 1u);
+        EXPECT_EQ(o.report.eventsDelivered, total);
+        EXPECT_EQ(o.report.eventsSkipped, 0u);
+        // The duplicate is dropped without touching the analysis.
+        EXPECT_EQ(o.profile, ref.profile);
+    }
 }
 
 TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
 {
     TraceParams p{56, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
+    expectMixedFrames(trace);
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
 
-    // Swap two adjacent event frames.
+    // Swap two adjacent event frames, one compressed and one raw.
     const vg::Sgb2BlockInfo *a = nullptr, *b = nullptr;
     for (std::size_t i = 0; i + 1 < blocks.size(); ++i)
         if (blocks[i].tag == kTagEvents &&
             blocks[i + 1].tag == kTagEvents &&
+            blocks[i].compressed != blocks[i + 1].compressed &&
             blocks[i].offset + blocks[i].length ==
                 blocks[i + 1].offset) {
             a = &blocks[i];
@@ -771,101 +775,90 @@ TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
 // Parallel decode equivalence under damage: the frame-parallel
 // pipeline (decodeThreads > 1) must produce the exact ReplayReport of
 // the serial decoder on every damaged input — same salvage accounting,
-// same resyncs, same error positions — for SGB2 and compressed SGB3.
+// same resyncs, same error positions.
 // ---------------------------------------------------------------------
 
 TEST(ParallelDecode, TruncationSweepMatchesSerialExactly)
 {
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{34, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 32, 200);
-        ASSERT_GT(recordedTotal(trace), 80u);
+    TraceParams p{34, 0, 0, true, false, false};
+    std::string trace = recordTrace(p, 32, 300);
+    ASSERT_GT(recordedTotal(trace), 80u);
+    expectMixedFrames(trace);
 
-        for (std::size_t cut = 0; cut < trace.size(); ++cut) {
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " cut at " + std::to_string(cut));
-            std::string t = trace.substr(0, cut);
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                QuietLogs quiet;
-                vg::ReplayOptions opts;
-                opts.policy = policy;
-                vg::Guest gs("robust");
-                std::istringstream is(t, std::ios::binary);
-                vg::ReplayReport serial =
-                    vg::replayBinaryTrace(is, gs, opts);
+    for (std::size_t cut = 0; cut < trace.size(); ++cut) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        std::string t = trace.substr(0, cut);
+        for (vg::ReplayPolicy policy :
+             {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
+            QuietLogs quiet;
+            vg::ReplayOptions opts;
+            opts.policy = policy;
+            vg::Guest gs("robust");
+            std::istringstream is(t, std::ios::binary);
+            vg::ReplayReport serial = vg::replayBinaryTrace(is, gs, opts);
 
-                vg::GuestConfig gc;
-                gc.decodeThreads = 4;
-                vg::Guest gp("robust", gc);
-                std::istringstream ip(t, std::ios::binary);
-                vg::ReplayReport parallel =
-                    vg::replayBinaryTrace(ip, gp, opts);
-                expectReportsEqual(serial, parallel);
-            }
+            vg::GuestConfig gc;
+            gc.decodeThreads = 4;
+            vg::Guest gp("robust", gc);
+            std::istringstream ip(t, std::ios::binary);
+            vg::ReplayReport parallel =
+                vg::replayBinaryTrace(ip, gp, opts);
+            expectReportsEqual(serial, parallel);
         }
     }
 }
 
 TEST(ParallelDecode, CorruptBlockSweepMatchesSerialExactly)
 {
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{35, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        ASSERT_GT(blocks.size(), 4u);
+    TraceParams p{35, 0, 0, true, false, false};
+    std::string trace = recordTrace(p, 64);
+    expectMixedFrames(trace);
+    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    ASSERT_GT(blocks.size(), 4u);
 
-        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-            const vg::Sgb2BlockInfo &victim = blocks[vi];
-            if (victim.tag != kTagEvents)
-                continue;
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " victim block " + std::to_string(vi));
-            std::string bad = trace;
-            bad[victim.offset + victim.length - 1] ^= 0x01;
+    for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
+        const vg::Sgb2BlockInfo &victim = blocks[vi];
+        if (victim.tag != kTagEvents)
+            continue;
+        SCOPED_TRACE("victim block " + std::to_string(vi));
+        std::string bad = trace;
+        bad[victim.offset + victim.length - 1] ^= 0x01;
 
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                ReplayOutcome serial = replayBinary(bad, p, policy, 1);
-                ReplayOutcome parallel = replayBinary(bad, p, policy, 4);
-                expectReportsEqual(serial.report, parallel.report);
-                EXPECT_EQ(serial.profile, parallel.profile);
-                EXPECT_EQ(serial.events, parallel.events);
-            }
+        for (vg::ReplayPolicy policy :
+             {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
+            ReplayOutcome serial = replayBinary(bad, p, policy, 1);
+            ReplayOutcome parallel = replayBinary(bad, p, policy, 4);
+            expectReportsEqual(serial.report, parallel.report);
+            EXPECT_EQ(serial.profile, parallel.profile);
+            EXPECT_EQ(serial.events, parallel.events);
         }
     }
 }
 
 TEST(ParallelDecode, DamagedHeaderResyncMatchesSerialExactly)
 {
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{36, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        std::size_t vi = 0;
-        for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
-            if (blocks[i].tag == kTagEvents) {
-                vi = i;
-                break;
-            }
-        ASSERT_GT(vi, 0u);
-        std::string bad = trace;
-        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
+    TraceParams p{36, 0, 0, true, false, false};
+    std::string trace = recordTrace(p, 64);
+    expectMixedFrames(trace);
+    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::size_t vi = 0;
+    for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
+        if (blocks[i].tag == kTagEvents) {
+            vi = i;
+            break;
+        }
+    ASSERT_GT(vi, 0u);
+    std::string bad = trace;
+    bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
 
-        ReplayOutcome serial =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage, 1);
-        ReplayOutcome parallel =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage, 4);
-        EXPECT_TRUE(serial.report.ok());
-        EXPECT_GE(serial.report.resyncs, 1u);
-        expectReportsEqual(serial.report, parallel.report);
-        EXPECT_EQ(serial.profile, parallel.profile);
-    }
+    ReplayOutcome serial =
+        replayBinary(bad, p, vg::ReplayPolicy::Salvage, 1);
+    ReplayOutcome parallel =
+        replayBinary(bad, p, vg::ReplayPolicy::Salvage, 4);
+    EXPECT_TRUE(serial.report.ok());
+    EXPECT_GE(serial.report.resyncs, 1u);
+    expectReportsEqual(serial.report, parallel.report);
+    EXPECT_EQ(serial.profile, parallel.profile);
 }
 
 // ---------------------------------------------------------------------
@@ -888,9 +881,9 @@ TEST(FaultInjection, PlansAreDeterministic)
 TEST(FaultInjection, TwoHundredSeedSweepNeverCrashesAlwaysAccounts)
 {
     TraceParams p{66, 0, 0, true, false, false};
-    std::string pristine =
-        recordTrace(p, vg::TraceFormat::SGB2, 64, 800);
+    std::string pristine = recordTrace(p, 64, 800);
     std::uint64_t total = recordedTotal(pristine);
+    expectMixedFrames(pristine);
     int bounded = 0;
 
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -932,71 +925,14 @@ TEST(FaultInjection, TwoHundredSeedSweepNeverCrashesAlwaysAccounts)
 }
 
 // ---------------------------------------------------------------------
-// Text-format structured errors (trace, profile, events)
+// Text-format structured errors (profile, events)
 // ---------------------------------------------------------------------
-
-TEST(TextReplay, MalformedLinePositionIsReported)
-{
-    TraceParams p{77, 0, 0, true, false, false};
-    std::string text = recordTextTrace(p);
-
-    std::vector<std::string> lines;
-    {
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line))
-            lines.push_back(line);
-    }
-    std::size_t li = 0;
-    for (std::size_t i = 2; i < lines.size(); ++i)
-        if (lines[i].rfind("R\t", 0) == 0) {
-            li = i;
-            break;
-        }
-    ASSERT_GT(li, 0u);
-    lines[li][2] = 'x'; // corrupt the address token
-    std::uint64_t offset = 0;
-    for (std::size_t i = 0; i < li; ++i)
-        offset += lines[i].size() + 1;
-    std::string bad;
-    for (const std::string &l : lines) {
-        bad += l;
-        bad += '\n';
-    }
-
-    {
-        vg::Guest g("robust");
-        std::istringstream is(bad);
-        vg::ReplayReport r =
-            vg::replayTrace(is, g, vg::ReplayOptions{});
-        ASSERT_TRUE(r.error.has_value());
-        EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadRecord);
-        EXPECT_EQ(r.error->line, li + 1);
-        EXPECT_EQ(r.error->byteOffset, offset);
-        EXPECT_NE(r.error->detail.find("bad access record"),
-                  std::string::npos);
-    }
-    {
-        QuietLogs quiet;
-        vg::Guest g("robust");
-        std::istringstream is(bad);
-        vg::ReplayOptions opts;
-        opts.policy = vg::ReplayPolicy::Salvage;
-        vg::ReplayReport r = vg::replayTrace(is, g, opts);
-        EXPECT_TRUE(r.ok());
-        EXPECT_TRUE(r.sawTrailer);
-        EXPECT_EQ(r.eventsSkipped, 1u);
-        ASSERT_EQ(r.errors.size(), 1u);
-        EXPECT_EQ(r.errors[0].line, li + 1);
-    }
-}
 
 TEST(ProfileIo, ParserReportsLineAndOffset)
 {
     TraceParams p{88, 0, 0, true, true, false};
-    ReplayOutcome o = replayBinary(recordTrace(p, vg::TraceFormat::SGB2,
-                                               4096),
-                                   p, vg::ReplayPolicy::Strict);
+    ReplayOutcome o =
+        replayBinary(recordTrace(p, 4096), p, vg::ReplayPolicy::Strict);
     ASSERT_FALSE(o.profile.empty());
     ASSERT_FALSE(o.events.empty());
 
@@ -1075,7 +1011,7 @@ class CheckpointResume : public ::testing::TestWithParam<TraceParams>
 TEST_P(CheckpointResume, ResumedReplayIsBitIdentical)
 {
     const TraceParams &p = GetParam();
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, 64);
     ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
     ASSERT_TRUE(ref.report.sawTrailer);
 
@@ -1170,8 +1106,8 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 {
     TraceParams pa{121, 0, 0, true, false, false};
     TraceParams pb{122, 0, 0, true, false, false};
-    std::string trace_a = recordTrace(pa, vg::TraceFormat::SGB2, 64);
-    std::string trace_b = recordTrace(pb, vg::TraceFormat::SGB2, 64);
+    std::string trace_a = recordTrace(pa, 64);
+    std::string trace_b = recordTrace(pb, 64);
     std::string path = ::testing::TempDir() + "/ckpt_mismatch";
     std::remove(path.c_str());
     std::remove((path + ".prev").c_str());
