@@ -5,9 +5,9 @@ Guards the perf trajectory of the hot paths: the stamp-word span fill
 (BM_ShadowSpanStride), the read-classification layer
 (BM_ClassifyRead), one traced read through cg + Sigil
 (BM_FullReadDispatch), end-to-end SGB3 trace replay throughput
-(BM_TraceReplayThroughput), the parse-only decode sweep
-(BM_ParallelDecode/<decodeThreads>), and the shadow-memory footprint
-(the shadow_peak_bytes counter). A regression of more than
+(BM_TraceReplayThroughput), sigild query throughput
+(BM_ServerQueryThroughput), and the shadow-memory footprint (the
+shadow_peak_bytes counter). A regression of more than
 the threshold (default 10%) on any watched metric fails the run.
 
 Usage:
@@ -54,11 +54,6 @@ WATCHED = [
     (r"^BM_FullReadDispatch$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "shadow_peak_bytes", -1),
-    (r"^BM_ShardedReplay/", "items_per_second", +1),
-    # One Arg, decodeThreads, over the SGB3 trace. Baselines that still
-    # carry the retired /<threads>/<format> arms have no entry in this
-    # suite, so comparing against one reports the suite as missing.
-    (r"^BM_ParallelDecode/\d+$", "items_per_second", +1),
     (r"^BM_ServerQueryThroughput/", "items_per_second", +1),
 ]
 

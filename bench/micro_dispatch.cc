@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the event transport (google-benchmark): per-event
- * virtual dispatch vs. the batched SoA transport (sync and async), and
- * SGB3 trace recording and replay. These back the batching design the
+ * virtual dispatch vs. the batched SoA transport, and SGB3 trace
+ * recording and replay. These back the batching design the
  * same way micro_shadow backs the span-oriented shadow path: the batch
  * transport must buy real end-to-end profiling throughput.
  */
@@ -38,10 +38,7 @@ vg::GuestConfig
 modeConfig(std::int64_t mode)
 {
     vg::GuestConfig cfg;
-    if (mode == 1)
-        cfg.batchEvents = true;
-    else if (mode == 2)
-        cfg.asyncTools = true;
+    cfg.batchEvents = mode == 1;
     return cfg;
 }
 
@@ -149,8 +146,8 @@ class AdapterCountingTool : public CountingTool
 
 /**
  * Transport overhead alone: per-event virtuals vs. the batch lanes.
- * Args: 0 = per-event, 1 = batched native, 2 = async native,
- * 3 = batched through the default replay adapter.
+ * Args: 0 = per-event, 1 = batched native, 3 = batched through the
+ * default replay adapter.
  */
 void
 BM_DispatchCountingTool(benchmark::State &state)
@@ -170,7 +167,7 @@ BM_DispatchCountingTool(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_DispatchCountingTool)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_DispatchCountingTool)->Arg(0)->Arg(1)->Arg(3);
 
 /**
  * End-to-end Sigil profiling throughput under each dispatch mode.
@@ -194,7 +191,7 @@ BM_SigilWorkload(benchmark::State &state)
                             kWorkloadIters);
 }
 BENCHMARK(BM_SigilWorkload)
-    ->ArgsProduct({{0, 1, 2}, {0, 6}});
+    ->ArgsProduct({{0, 1}, {0, 6}});
 
 /** Full stack (Sigil + cg cache/branch simulation) per dispatch mode. */
 void
@@ -212,7 +209,7 @@ BM_FullStackWorkload(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_FullStackWorkload)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FullStackWorkload)->Arg(0)->Arg(1);
 
 /** The benchmark workload recorded once as an SGB3 trace. */
 const std::string &
@@ -337,70 +334,6 @@ BM_TraceReplayProfiled(benchmark::State &state)
 BENCHMARK(BM_TraceReplayProfiled)->ArgsProduct({{0, 1}, {0, 6}});
 
 /**
- * Frame-parallel decode, parsing cost only: a zero-copy
- * BinaryReplaySession over the in-memory trace with decodeThreads
- * workers CRC-verifying and decoding frames ahead of the consumer.
- * Arg: decodeThreads. Threads=1 is the serial inline decoder — the baseline the sweep is judged against
- * (acceptance: >= 2.5x items/sec at 4 threads on a >= 4-core host).
- * Real time: past threads=1 the decode happens on the workers.
- */
-void
-BM_ParallelDecode(benchmark::State &state)
-{
-    const std::string &trace = recordedTrace();
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        vg::GuestConfig gc;
-        gc.decodeThreads = static_cast<unsigned>(state.range(0));
-        vg::Guest g("bench", gc);
-        vg::BinaryReplaySession session(std::string_view(trace), g);
-        while (session.step()) {
-        }
-        events = session.finish().eventsDelivered;
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * events));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * trace.size()));
-}
-BENCHMARK(BM_ParallelDecode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/**
- * The same sweep end to end: parallel decode feeding a batched-guest
- * Sigil profiler. Delivery is serialized through the guest, so this
- * shows how much of the profiled pipeline the decode stage was. Arg
- * as BM_ParallelDecode.
- */
-void
-BM_ParallelDecodeProfiled(benchmark::State &state)
-{
-    const std::string &trace = recordedTrace();
-    for (auto _ : state) {
-        vg::GuestConfig gc;
-        gc.batchEvents = true;
-        gc.decodeThreads = static_cast<unsigned>(state.range(0));
-        vg::Guest g("bench", gc);
-        core::SigilProfiler prof;
-        g.addTool(&prof);
-        vg::BinaryReplaySession session(std::string_view(trace), g);
-        while (session.step()) {
-        }
-        session.finish();
-        benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kWorkloadIters);
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * trace.size()));
-}
-BENCHMARK(BM_ParallelDecodeProfiled)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-/**
  * Checkpointed replay smoke benchmark: the full SGB3 + profiler replay
  * with periodic state snapshots, against BM_TraceReplayProfiled/1/0
  * as the no-checkpoint baseline. Arg: checkpoint interval in blocks.
@@ -488,14 +421,12 @@ BM_CheckpointResume(benchmark::State &state)
 BENCHMARK(BM_CheckpointResume)->Arg(16);
 
 /**
- * Memory-heavy workload over a wide (16 MiB) address window for the
- * sharded-replay sweep: at byte granularity the window spans ~4096
- * shadow chunks, so chunk-hashed sharding spreads the analysis evenly.
- * Accesses average ~144 bytes, so per-unit classification dominates
- * the sequencer's routing cost — the regime sharding targets.
+ * Memory-heavy workload over a wide (16 MiB) address window: at byte
+ * granularity the window spans ~4096 shadow chunks, and accesses
+ * average ~144 bytes. The daemon benchmark serves its profile.
  */
 void
-driveShardWorkload(vg::Guest &g, int iters)
+driveWideWorkload(vg::Guest &g, int iters)
 {
     Rng rng(7);
     vg::FunctionId fns[4] = {g.fn("a"), g.fn("b"), g.fn("c"), g.fn("d")};
@@ -529,53 +460,25 @@ driveShardWorkload(vg::Guest &g, int iters)
     g.finish();
 }
 
-constexpr int kShardWorkloadIters = 20000;
+constexpr int kWideWorkloadIters = 20000;
 
 const std::string &
-shardedTrace()
+wideTrace()
 {
     static const std::string trace = [] {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
         vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
-        driveShardWorkload(g, kShardWorkloadIters);
+        driveWideWorkload(g, kWideWorkloadIters);
         return os.str();
     }();
     return trace;
 }
 
 /**
- * Address-sharded profiled replay: SGB3 trace into a full-fidelity
- * (re-use mode) Sigil profiler. Arg: shardCount. Arg(1) is the serial
- * engine and the baseline the sweep is judged against; N > 1 runs N
- * shard workers. Real time, since the work happens on the workers.
- * The acceptance target is >= 1.5x items/sec at Arg(4) over Arg(1)
- * on a >= 4-core host.
- */
-void
-BM_ShardedReplay(benchmark::State &state)
-{
-    const std::string &trace = shardedTrace();
-    core::SigilConfig cfg; // defaults: re-use tracking on
-    for (auto _ : state) {
-        std::istringstream is(trace, std::ios::binary);
-        vg::GuestConfig gc;
-        gc.shardCount = static_cast<unsigned>(state.range(0));
-        vg::Guest g("bench", gc);
-        core::SigilProfiler prof(cfg);
-        g.addTool(&prof);
-        vg::replayBinaryTrace(is, g);
-        benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kShardWorkloadIters);
-}
-BENCHMARK(BM_ShardedReplay)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/**
  * One sigild instance shared by every BM_ServerQueryThroughput run:
- * the sharded trace written to a file, loaded once into the catalog,
+ * the wide trace written to a file, loaded once into the catalog,
  * served over a Unix-domain socket by an 8-worker pool. Started on
  * first use and drained at process exit so the socket file is
  * unlinked.
@@ -595,7 +498,7 @@ queryServerFixture(std::string &socket_path)
         std::string trace_path = stem + ".trace";
         {
             std::ofstream os(trace_path, std::ios::binary);
-            os << shardedTrace();
+            os << wideTrace();
         }
         f.socketPath = stem + ".sock";
         server::ServerConfig cfg;

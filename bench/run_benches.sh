@@ -15,22 +15,15 @@
 # trips when SIGIL_SYSTEM_BENCHMARK=ON picked up a debug
 # libbenchmark; compare_bench.py rejects such candidates too.
 #
-# BENCH_dispatch.json includes the BM_ShardedReplay shard sweep
-# (Arg = shardCount; Arg 1 = the serial engine, the baseline; Args
-# 2/4/8 = shard worker counts), the BM_ParallelDecode{,Profiled}
-# decode sweeps (Arg = decodeThreads 1/2/4/8 over the SGB3 trace;
-# parse-only and profiled end to end), plus the BM_ServerQueryThroughput sigild
-# sweep (Arg = concurrent query clients over the daemon's
-# Unix-domain socket; items/sec is end-to-end requests per second
-# through framing, dispatch, catalog rendering, and the socket
-# round-trip). The replay families scale with physical cores: the
-# >= 1.5x shard target at 4 workers over serial and the >= 2.5x
-# parse-only decode target at decodeThreads=4 each need a >= 4-core
-# host. On fewer cores the sweeps still run (the differential tests
-# keep the output bit-identical) but measure scheduling overhead, not
-# parallelism — the JSON context carries a machine manifest
-# ("num_cpus", "cpu_model", "kernel") and compare_bench.py refuses a
-# baseline recorded on different hardware.
+# BENCH_dispatch.json includes the serial SGB3 replay benchmarks
+# (BM_TraceReplayParse parse-only, BM_TraceReplayProfiled end to end)
+# plus the BM_ServerQueryThroughput sigild sweep (Arg = concurrent
+# query clients over the daemon's Unix-domain socket; items/sec is
+# end-to-end requests per second through framing, dispatch, catalog
+# rendering, and the socket round-trip). The sigild sweep scales with
+# cores, so the JSON context carries a machine manifest ("num_cpus",
+# "cpu_model", "kernel") and compare_bench.py refuses a baseline
+# recorded on different hardware.
 #
 # Usage: bench/run_benches.sh [build-dir] [extra benchmark args...]
 set -eu

@@ -15,10 +15,9 @@ diagnostics:
     BM_FullReadDispatch items_per_second) are watched: a slower fresh
     run fails strict mode naming the benchmark, a missing one is a
     suite diagnostic, and BM_NativeReadDispatch stays unwatched,
-  - the decode sweep is watched as BM_ParallelDecode/<decodeThreads>
-    only: BM_ParallelDecodeProfiled stays unwatched, and a baseline
-    holding just the retired /<threads>/<format> arms is a suite
-    mismatch against a fresh one-arg run.
+  - the removed parallel-engine sweeps (BM_ShardedReplay/*,
+    BM_ParallelDecode/*) are unwatched: a baseline that still carries
+    them compares cleanly against a fresh run without them.
 
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
@@ -161,28 +160,20 @@ def main():
             check(f"{name} missing from fresh fails strict",
                   rc != 0 and f"missing  {name} " in out, out)
 
-        # Decode sweep: one Arg (decodeThreads) over the SGB3 trace.
-        decode = [
-            bench("BM_ParallelDecode/1", items_per_second=3e7),
+        # Removed parallel engines: their sweeps are no longer
+        # watched, so an older baseline compares on the rest.
+        retired = [
+            bench("BM_ShardedReplay/4", items_per_second=1e6),
             bench("BM_ParallelDecode/4", items_per_second=4e7),
-            bench("BM_ParallelDecodeProfiled/4", items_per_second=8e6),
             bench("BM_FullReadDispatch", items_per_second=1e7),
         ]
-        retired = [
-            bench("BM_ParallelDecode/1/2", items_per_second=4e7),
-            bench("BM_ParallelDecode/1/3", items_per_second=3e7),
-        ]
-        base_decode = write(tmp, "base_decode.json", doc(decode))
-        rc, out = run(base_decode, base_decode)
-        check("decode sweep self-compare passes",
-              rc == 0 and "BM_ParallelDecode/4 [items_per_second]" in out
-              and "BM_ParallelDecodeProfiled" not in out, out)
-        base_retired = write(tmp, "base_retired.json",
-                             doc(retired + decode[2:]))
-        rc, out = run(base_retired, base_decode)
-        check("retired decode format arms are a suite mismatch",
-              rc != 0 and "BM_ParallelDecode" in out
-              and "no baseline" in out, out)
+        base_retired = write(tmp, "base_retired.json", doc(retired))
+        fresh_serial = write(tmp, "fresh_serial.json", doc(retired[2:]))
+        rc, out = run(base_retired, fresh_serial)
+        check("removed parallel-engine sweeps are unwatched",
+              rc == 0 and "BM_FullReadDispatch [items_per_second]" in out
+              and "BM_ShardedReplay" not in out
+              and "BM_ParallelDecode" not in out, out)
 
     if failures:
         print(f"\n{len(failures)} case(s) failed: {failures}")

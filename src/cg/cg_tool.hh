@@ -71,10 +71,10 @@ class CgTool : public vg::Tool
     /**
      * Self counters of one context (zeroes if never seen).
      *
-     * With batched/async dispatch (GuestConfig::batchEvents /
-     * asyncTools) call Guest::sync() first — the tool lags the guest
-     * until the in-flight buffers drain. Debug builds assert that no
-     * events are pending. (Guest::finish() syncs, so post-run reads
+     * With batched dispatch (GuestConfig::batchEvents) call
+     * Guest::sync() first — the tool lags the guest until the fill
+     * buffer flushes. Debug builds assert that no events are
+     * pending. (Guest::finish() syncs, so post-run reads
      * need nothing extra.)
      */
     const CgCounters &counters(vg::ContextId ctx) const;
@@ -83,7 +83,7 @@ class CgTool : public vg::Tool
 
     /**
      * Snapshot the profile, with names and inclusive costs filled in.
-     * Requires Guest::sync() first under batched/async dispatch (see
+     * Requires Guest::sync() first under batched dispatch (see
      * counters()); debug builds assert that no events are pending.
      */
     CgProfile takeProfile() const;

@@ -29,12 +29,6 @@
  * profiler restores shadow chunks in LRU order (reproducing future
  * eviction decisions) and SGB3 resets its address-delta chain at every
  * block boundary (so decoding resumes cleanly mid-stream).
- *
- * Sharded replays (GuestConfig::shardCount > 1) fold their
- * shard-partial state before every snapshot, so the profiler body is
- * engine-independent (it merely records the shard count,
- * docs/FORMATS.md §5.1): snapshots restore across engines and shard
- * counts in both directions, still bit-identically.
  */
 
 #ifndef SIGIL_CORE_CHECKPOINT_HH
@@ -84,7 +78,7 @@ struct CheckpointStats
  * Replay an SGB3 trace with periodic checkpoints.
  *
  * The guest must be freshly constructed with the profiler attached
- * (batched/async guest configurations are not resumable and are
+ * (batched guest configurations are not resumable and are
  * rejected at resume time). If config.path holds a checkpoint that
  * matches this trace and configuration, the replay resumes from it;
  * otherwise it starts from the beginning. Either way a snapshot is

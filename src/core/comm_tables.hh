@@ -1,16 +1,11 @@
 /**
  * @file
- * Shared communication-classification tables and kernels.
+ * Communication-classification tables and kernels.
  *
  * The paper's per-byte classification (local vs. input/output, unique
- * vs. non-unique, re-use runs) is needed by two engines: the serial
- * SigilProfiler and the address-sharded parallel engine, where every
- * shard worker maintains a private partial table that is later merged.
- * Both engines walk an access as chunk-clamped shadow span runs and
- * hand every run to the same two run kernels, commReadRun and
- * commWriteRun, which is what makes "sharded output is bit-identical
- * to serial" true by construction rather than by parallel maintenance
- * of two copies.
+ * vs. non-unique, re-use runs) of SigilProfiler. An access is walked
+ * as chunk-clamped shadow span runs, and every run goes to one of two
+ * run kernels, commReadRun and commWriteRun.
  *
  * The bytes of one access almost always carry the same writer and
  * reader stamps, so commReadRun classifies once per run of units with
@@ -19,13 +14,6 @@
  * reader stamp — in a per-unit loop. The per-unit kernels
  * commReadUnit / commWriteUnit run only behind
  * SigilConfig::referenceShadowPath, as the differential oracle.
- *
- * All quantities in a CommTables are unsigned-integer sums or
- * histogram counts, so merging shard partials by addition reproduces
- * the serial totals exactly. Edge *order* is the one observable that
- * addition cannot recover; edges therefore carry the global epoch of
- * their first occurrence, and the merge re-sorts by (epoch, local
- * insertion index) to reproduce the serial first-seen order.
  */
 
 #ifndef SIGIL_CORE_COMM_TABLES_HH
@@ -42,21 +30,6 @@
 
 namespace sigil::core {
 
-/** A communication edge plus its first-occurrence position. */
-struct OrderedCommEdge
-{
-    CommEdge edge;
-    /** Global access epoch at which the edge was first created. */
-    std::uint64_t firstEpoch = 0;
-};
-
-/** A thread edge plus its first-occurrence position. */
-struct OrderedThreadEdge
-{
-    ThreadCommEdge edge;
-    std::uint64_t firstEpoch = 0;
-};
-
 /** Per-allocation traffic; slot 0 is the "other" bucket. */
 struct ObjectTraffic
 {
@@ -65,12 +38,7 @@ struct ObjectTraffic
     std::uint64_t uniqueReadBytes = 0;
 };
 
-/**
- * Ambient state of one memory-access piece, captured by the sequencer
- * at event time. Shard workers classify against this stamp instead of
- * live guest state, which is how classification stays epoch-exact
- * while memory events execute out of band.
- */
+/** Ambient state of one memory access, as the read kernels see it. */
 struct AccessStamp
 {
     vg::ContextId ctx = vg::kInvalidContext;
@@ -79,19 +47,14 @@ struct AccessStamp
     vg::ThreadId tid = 0;
     /** Open event-trace segment receiving the access (0 = none). */
     std::uint64_t segSeq = 0;
-    /** Position of the piece in the global access stream. */
-    std::uint64_t epoch = 0;
-    /** Allocation receiving unique-read attribution (-1 = none). */
-    std::int32_t allocIdx = -1;
     /** ROI collection flag at the time of the access. */
     bool collecting = true;
 };
 
 /**
  * Collection environment of the read kernels. The fidelity flags are
- * *references*: in the serial engine a failure-injected chunk
- * allocation can degrade fidelity in the middle of a multi-chunk
- * access. Chunk resolution happens only between span runs, so a flip
+ * *references*: a failure-injected chunk allocation can degrade
+ * fidelity in the middle of a multi-chunk access. Chunk resolution happens only between span runs, so a flip
  * is seen from the next chunk run on and never inside one — which is
  * why a run kernel may read the flags once per run. granularityShift
  * is the shadow's unit shift.
@@ -104,37 +67,25 @@ struct ClassifyEnv
     unsigned granularityShift = 0;
 };
 
-/**
- * One set of communication tables: either the serial profiler's single
- * authoritative copy, or a shard worker's partial awaiting the merge.
- */
+/** The communication tables of one profiling run. */
 struct CommTables
 {
     std::vector<CommAggregates> rows;
 
     /** (producer<<32|consumer) → edge index, no self edges. */
     std::unordered_map<std::uint64_t, std::size_t> edgeIndex;
-    std::vector<OrderedCommEdge> edges;
+    /** Edges in first-seen order. */
+    std::vector<CommEdge> edges;
 
     /** (producerTid<<32|consumerTid) → thread-edge index. */
     std::unordered_map<std::uint64_t, std::size_t> threadEdgeIndex;
-    std::vector<OrderedThreadEdge> threadEdges;
+    std::vector<ThreadCommEdge> threadEdges;
 
     BoundsHistogram unitReuseBreakdown{std::vector<std::uint64_t>{0, 9}};
     BoundsHistogram lineReuseBreakdown{
         std::vector<std::uint64_t>{9, 99, 999, 9999}};
 
     std::vector<ObjectTraffic> objectStats;
-
-    /**
-     * Shard partials only: per consuming segment, producer segment →
-     * unique bytes. The serial engine accumulates directly into the
-     * open segment's map instead; at the fold these merge into the
-     * matching pending segment records.
-     */
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::uint64_t, std::uint64_t>>
-        segXfers;
 
     CommAggregates &
     row(vg::ContextId ctx)
@@ -170,29 +121,6 @@ struct CommTables
         return (static_cast<std::uint64_t>(producer) << 32) | consumer;
     }
 };
-
-/** Add every counter of src into dst (histograms merge). */
-inline void
-mergeAggregates(CommAggregates &dst, const CommAggregates &src)
-{
-    dst.calls += src.calls;
-    dst.iops += src.iops;
-    dst.flops += src.flops;
-    dst.readBytes += src.readBytes;
-    dst.writeBytes += src.writeBytes;
-    dst.uniqueLocalBytes += src.uniqueLocalBytes;
-    dst.nonuniqueLocalBytes += src.nonuniqueLocalBytes;
-    dst.uniqueInputBytes += src.uniqueInputBytes;
-    dst.nonuniqueInputBytes += src.nonuniqueInputBytes;
-    dst.uniqueOutputBytes += src.uniqueOutputBytes;
-    dst.nonuniqueOutputBytes += src.nonuniqueOutputBytes;
-    dst.uniqueInterThreadBytes += src.uniqueInterThreadBytes;
-    dst.nonuniqueInterThreadBytes += src.nonuniqueInterThreadBytes;
-    dst.reusedUnits += src.reusedUnits;
-    dst.reuseReads += src.reuseReads;
-    dst.lifetimeSum += src.lifetimeSum;
-    dst.lifetimeHist.merge(src.lifetimeHist);
-}
 
 /**
  * Close the pending re-use run of a shadow object, folding its
@@ -290,12 +218,9 @@ commClassifyBytes(CommTables &t, const ClassifyEnv &env,
         std::uint64_t key = CommTables::edgeKey(producer, a.ctx);
         auto [it, inserted] =
             t.edgeIndex.try_emplace(key, t.edges.size());
-        if (inserted) {
-            t.edges.push_back(
-                OrderedCommEdge{CommEdge{producer, a.ctx, 0, 0},
-                                a.epoch});
-        }
-        CommEdge &edge = t.edges[it->second].edge;
+        if (inserted)
+            t.edges.push_back(CommEdge{producer, a.ctx, 0, 0});
+        CommEdge &edge = t.edges[it->second];
         if (unique)
             edge.uniqueBytes += w;
         else
@@ -314,11 +239,9 @@ commClassifyBytes(CommTables &t, const ClassifyEnv &env,
         std::uint64_t tkey = CommTables::threadEdgeKey(wr.thread, a.tid);
         auto [tit, tin] =
             t.threadEdgeIndex.try_emplace(tkey, t.threadEdges.size());
-        if (tin) {
-            t.threadEdges.push_back(OrderedThreadEdge{
-                ThreadCommEdge{wr.thread, a.tid, 0, 0}, a.epoch});
-        }
-        ThreadCommEdge &tedge = t.threadEdges[tit->second].edge;
+        if (tin)
+            t.threadEdges.push_back(ThreadCommEdge{wr.thread, a.tid, 0, 0});
+        ThreadCommEdge &tedge = t.threadEdges[tit->second];
         if (unique)
             tedge.uniqueBytes += w;
         else
@@ -408,7 +331,7 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
 }
 
 /**
- * Read kernel of both engines: classify the part of the read
+ * Read kernel: classify the part of the read
  * [lo, hi) that falls on one chunk-clamped span run. The run is split
  * into maximal stamp runs — consecutive units with equal (writer,
  * reader) stamps — and each stamp run is classified once with its
@@ -472,7 +395,7 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
 }
 
 /**
- * Write kernel of both engines: close the pending re-use runs of one
+ * Write kernel: close the pending re-use runs of one
  * chunk-clamped span run, then stamp every unit with writer_id. Same
  * result as commWriteUnit over every unit of the run.
  */

@@ -64,6 +64,15 @@ ProfileQueryServer::start(std::string *err)
             *err = "server already running";
         return false;
     }
+    if (config_.threads > static_cast<unsigned>(Watchdog::kMaxEntities)) {
+        // Each worker registers with the stall watchdog, which has a
+        // fixed number of slots; reject before binding anything.
+        if (err)
+            *err = "threads " + std::to_string(config_.threads) +
+                   " exceeds the limit of " +
+                   std::to_string(Watchdog::kMaxEntities);
+        return false;
+    }
     std::string local_err;
     unixListener_ = net::Listener::listenUnix(config_.unixPath,
                                               &local_err);

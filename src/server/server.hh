@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild — the profile-query daemon (DESIGN.md §4.8).
+ * sigild — the profile-query daemon (DESIGN.md §4.6).
  *
  * One accept thread per listener (Unix-domain always, loopback TCP
  * optionally) feeds accepted connections into a bounded queue drained
@@ -50,7 +50,10 @@ struct ServerConfig
     /** Loopback TCP port: -1 = off, 0 = ephemeral (see tcpPort()). */
     int tcpPort = -1;
 
-    /** Worker threads — the concurrent-request capacity. */
+    /**
+     * Worker threads — the concurrent-request capacity. At most
+     * Watchdog::kMaxEntities; start() rejects more.
+     */
     unsigned threads = 4;
 
     /** Per-connection receive/send deadlines, ms (0 = no deadline). */

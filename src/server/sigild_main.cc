@@ -16,7 +16,7 @@
  *          [--stall-ms N]
  *
  * Numeric values must be plain decimal integers that fit their field
- * (--tcp 0..65535, --threads 0..1024); anything else exits 2.
+ * (--tcp 0..65535, --threads 0..512); anything else exits 2.
  */
 
 #include <cerrno>
@@ -39,8 +39,11 @@ using namespace sigil;
 
 namespace {
 
-/** Worker-pool ceiling: far past any useful width, well short of OOM. */
-constexpr std::uint64_t kMaxThreads = 1024;
+/**
+ * Worker-pool ceiling: each worker takes one slot of the server's
+ * stall watchdog, so the pool can be no wider than its slot array.
+ */
+constexpr std::uint64_t kMaxThreads = Watchdog::kMaxEntities;
 
 int g_signal_pipe[2] = {-1, -1};
 

@@ -245,24 +245,9 @@ ShadowMemory::forEachChunkInRecencyOrder(
 void
 ShadowMemory::evictOldest()
 {
-    if (lruHead_ == nullptr)
+    Chunk *victim = lruHead_;
+    if (victim == nullptr)
         panic("ShadowMemory::evictOldest with no chunks");
-    evictChunkPtr(lruHead_);
-}
-
-void
-ShadowMemory::evictChunk(std::uint64_t index)
-{
-    auto it = directory_.find(index);
-    if (it == directory_.end())
-        panic("ShadowMemory::evictChunk: chunk %llu not resident",
-              static_cast<unsigned long long>(index));
-    evictChunkPtr(&it->second);
-}
-
-void
-ShadowMemory::evictChunkPtr(Chunk *victim)
-{
     if (evictionHandler_)
         visitTouched(*victim, evictionHandler_, evictionFilter_);
     // The lookup cache may point into the evicted chunk.
@@ -287,13 +272,6 @@ ShadowMemory::forEachInChunk(std::uint64_t index,
     if (it == directory_.end())
         return;
     visitTouched(it->second, visitor, SweepFilter::All);
-}
-
-bool
-ShadowMemory::chunkHasCold(std::uint64_t index) const
-{
-    auto it = directory_.find(index);
-    return it != directory_.end() && it->second.cold != nullptr;
 }
 
 void

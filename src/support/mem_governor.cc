@@ -12,10 +12,6 @@ memCategoryName(MemCategory cat)
     switch (cat) {
     case MemCategory::Shadow:
         return "shadow";
-    case MemCategory::ShardQueues:
-        return "shard-queues";
-    case MemCategory::DecodeWindows:
-        return "decode-windows";
     case MemCategory::EventBuffers:
         return "event-buffers";
     case MemCategory::ProfileCatalog:

@@ -3,14 +3,14 @@
  * Process-wide memory-budget governor.
  *
  * Every subsystem that holds a non-trivial amount of heap — shadow
- * chunks (hot units, lazy cold arrays, stamp tables), shard work
- * queues, decode-pipeline frame windows, event buffers — charges its
- * allocations against one MemoryGovernor instance owned by the Guest.
+ * chunks (hot units, lazy cold arrays, stamp tables), the event
+ * buffer, sigild's profile catalog — charges its allocations against
+ * one MemoryGovernor instance (the Guest's, or the server's).
  * The governor itself never frees anything: it is a ledger plus a
  * predicate. Subsystems that *can* shed memory (the shadow's chunk
  * LRU) consult overBudget() before growing and evict until the new
- * allocation fits; subsystems with fixed footprints (queues, buffers)
- * only account, so the eviction pressure lands where it is cheapest
+ * allocation fits; subsystems with fixed footprints (buffers) only
+ * account, so the eviction pressure lands where it is cheapest
  * to shed. When nothing evictable remains and the budget is still
  * exceeded, the shadow's pressure handler drives the profiler's
  * never-descending degradation ladder instead of OOM-ing.
@@ -21,8 +21,8 @@
  * ungoverned runs stay bit-identical to pre-governor behaviour.
  *
  * Thread safety: charge/release/overBudget are lock-free atomics and
- * may be called from any thread (shard workers, decode workers, the
- * async writer). Peaks are maintained with CAS-max loops, so the
+ * may be called from any thread (sigild's worker threads share one
+ * governor). Peaks are maintained with CAS-max loops, so the
  * reported peak is exact even under concurrent charging.
  */
 
@@ -39,14 +39,12 @@ namespace sigil {
 /** Accounting categories, one per governed subsystem. */
 enum class MemCategory : unsigned {
     Shadow = 0,       ///< shadow chunks: hot units + cold arrays + stamps
-    ShardQueues = 1,  ///< bounded SPSC rings feeding shard workers
-    DecodeWindows = 2, ///< in-flight decoded frames in the decode pipeline
-    EventBuffers = 3, ///< guest-side SoA event batches
-    ProfileCatalog = 4, ///< daemon-resident profiles (sigild catalog)
-    kCount = 5,
+    EventBuffers = 1, ///< guest-side SoA event batches
+    ProfileCatalog = 2, ///< daemon-resident profiles (sigild catalog)
+    kCount = 3,
 };
 
-/** Human-readable category name ("shadow", "shard-queues", ...). */
+/** Human-readable category name ("shadow", "event-buffers", ...). */
 const char *memCategoryName(MemCategory cat);
 
 class MemoryGovernor

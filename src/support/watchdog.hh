@@ -1,9 +1,9 @@
 /**
  * @file
- * Stall watchdog for the parallel subsystems.
+ * Stall watchdog for worker threads.
  *
- * Every long-lived worker thread — shard workers, decode workers, the
- * async analysis consumer, the background trace writer — registers
+ * Every long-lived worker thread — the background trace writer,
+ * sigild's request workers — registers
  * itself as an entity and then reports liveness with three cheap
  * atomic operations: busy() when it picks up work, beat() as it makes
  * progress, idle() when it blocks waiting for more. A monitor thread
@@ -19,8 +19,8 @@
  * either invokes the stall handler (StallAction::Fail — the default
  * handler calls fatal(), failing the run with the report instead of
  * hanging) or logs the report and keeps running (StallAction::Degrade
- * — used by the decode pipeline, which can recover by restarting
- * itself from the consumer's position). A flagged entity re-arms as
+ * — used by sigild's workers, whose stall costs one slow request, not
+ * the daemon). A flagged entity re-arms as
  * soon as its beat counter moves again, so transient stalls are
  * reported once, not once per monitor tick.
  *
@@ -86,8 +86,17 @@ class Watchdog
     unsigned timeoutMs() const { return timeoutMs_; }
 
     /**
+     * Entity handles index a fixed slot array so heartbeats never
+     * touch a container the registration path might be growing. A
+     * slot is never reused: at most this many registerEntity() calls
+     * per watchdog.
+     */
+    static constexpr int kMaxEntities = 512;
+
+    /**
      * Register a worker. Returns a handle for beat()/busy()/idle().
      * Thread-safe; entities are monitored until unregisterEntity().
+     * Fails fatally past kMaxEntities registrations.
      */
     int registerEntity(std::string name, StallAction action,
                        DiagFn diag = nullptr);
@@ -123,10 +132,13 @@ class Watchdog
      */
     void setStallHandler(StallHandler handler);
 
-    /** Number of stalls detected so far (both actions). */
+    /**
+     * Number of stalls detected so far (both actions). A stall counts
+     * once its handler (or warning) has returned.
+     */
     std::uint64_t stallsDetected() const
     {
-        return stalls_.load(std::memory_order_relaxed);
+        return stalls_.load(std::memory_order_acquire);
     }
 
     /** Message of the most recent StallReport ("" if none). */
@@ -147,10 +159,6 @@ class Watchdog
         std::chrono::steady_clock::time_point lastChange{};
         bool flagged = false;
     };
-
-    /** Entity handles index a fixed slot array so heartbeats never
-     *  touch a container the registration path might be growing. */
-    static constexpr int kMaxEntities = 512;
 
     void monitor();
     void fire(Entity &e, std::unique_lock<std::mutex> &lock);

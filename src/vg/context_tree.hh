@@ -13,8 +13,6 @@
 #ifndef SIGIL_VG_CONTEXT_TREE_HH
 #define SIGIL_VG_CONTEXT_TREE_HH
 
-#include <atomic>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,20 +68,7 @@ class ContextTree
     /** Full path, e.g. "main/localSearch/pkmedian". */
     std::string pathName(ContextId ctx) const;
 
-    std::size_t
-    size() const
-    {
-        return published_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Hook run before any reallocation of the node table; see
-     * FunctionRegistry::setGrowthBarrier.
-     */
-    void setGrowthBarrier(std::function<void()> barrier)
-    {
-        growthBarrier_ = std::move(barrier);
-    }
+    std::size_t size() const { return nodes_.size(); }
 
     /** All contexts whose function is fn, in creation order. */
     const std::vector<ContextId> &contextsOf(FunctionId fn) const;
@@ -101,8 +86,6 @@ class ContextTree
     const FunctionRegistry &functions_;
     unsigned maxDepth_;
     std::vector<Node> nodes_;
-    std::atomic<std::size_t> published_{0};
-    std::function<void()> growthBarrier_;
     std::unordered_map<std::uint64_t, ContextId> byEdge_;
     std::vector<std::vector<ContextId>> byFunction_;
     static const std::vector<ContextId> kEmpty;

@@ -11,10 +11,7 @@ FunctionRegistry::intern(std::string_view name)
     if (it != byName_.end())
         return it->second;
     FunctionId id = static_cast<FunctionId>(names_.size());
-    if (growthBarrier_ && names_.size() == names_.capacity())
-        growthBarrier_();
     names_.emplace_back(name);
-    published_.store(names_.size(), std::memory_order_release);
     byName_.emplace(names_.back(), id);
     return id;
 }
@@ -29,10 +26,8 @@ FunctionRegistry::find(std::string_view name) const
 const std::string &
 FunctionRegistry::name(FunctionId id) const
 {
-    if (id < 0 || static_cast<std::size_t>(id) >=
-                      published_.load(std::memory_order_acquire)) {
+    if (id < 0 || static_cast<std::size_t>(id) >= names_.size())
         panic("FunctionRegistry::name: bad id %d", id);
-    }
     return names_[static_cast<std::size_t>(id)];
 }
 

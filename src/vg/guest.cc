@@ -1,139 +1,13 @@
 #include "guest.hh"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
-#include <thread>
 
 #include "support/logging.hh"
 #include "support/mem_governor.hh"
 #include "support/watchdog.hh"
 
 namespace sigil::vg {
-
-/**
- * Double-buffered hand-off between the workload thread and the tool
- * consumer thread (asyncTools mode). The guest fills one EventBuffer
- * while the consumer drains the other; submit() exchanges a filled
- * buffer for a drained one, blocking only when the consumer is still
- * behind by a full buffer.
- *
- * The hand-off mutex is also the synchronization point for the shared
- * read-mostly registries (function names, context nodes, allocations):
- * the guest calls waitIdle() before any vector reallocation of those,
- * so the consumer never observes storage being moved. Everything a
- * buffered event refers to was created before the buffer was submitted,
- * hence before the consumer could dereference it.
- */
-class AsyncToolPipeline
-{
-  public:
-    AsyncToolPipeline(Guest &guest, std::size_t capacity,
-                      sigil::Watchdog *watchdog)
-        : guest_(guest), spare_(std::make_unique<EventBuffer>(capacity)),
-          watchdog_(watchdog)
-    {
-        if (watchdog_ != nullptr) {
-            dogId_ = watchdog_->registerEntity(
-                "async-tool-consumer", sigil::Watchdog::StallAction::Fail,
-                [this] {
-                    char buf[64];
-                    std::snprintf(buf, sizeof(buf),
-                                  "batches drained=%llu",
-                                  static_cast<unsigned long long>(
-                                      batchesDrained_.load(
-                                          std::memory_order_relaxed)));
-                    return std::string(buf);
-                });
-        }
-        worker_ = std::thread([this] { run(); });
-    }
-
-    ~AsyncToolPipeline()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        worker_.join();
-        if (watchdog_ != nullptr)
-            watchdog_->unregisterEntity(dogId_);
-    }
-
-    /** Exchange a filled buffer for a drained one. */
-    std::unique_ptr<EventBuffer>
-    submit(std::unique_ptr<EventBuffer> filled)
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_.wait(lock, [this] { return spare_ != nullptr; });
-        std::unique_ptr<EventBuffer> fresh = std::move(spare_);
-        pending_ = std::move(filled);
-        cv_.notify_all();
-        return fresh;
-    }
-
-    /** Block until every submitted buffer has been fully drained. */
-    void
-    waitIdle()
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_.wait(lock, [this] { return pending_ == nullptr && !busy_; });
-    }
-
-    /** Non-blocking: true when no submitted buffer is in flight. */
-    bool
-    idle() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return pending_ == nullptr && !busy_;
-    }
-
-  private:
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        for (;;) {
-            // Parked on an empty pipeline: not a stall.
-            if (watchdog_ != nullptr)
-                watchdog_->idle(dogId_);
-            cv_.wait(lock,
-                     [this] { return stop_ || pending_ != nullptr; });
-            if (pending_ == nullptr) // stop requested, nothing queued
-                return;
-            if (watchdog_ != nullptr)
-                watchdog_->busy(dogId_);
-            std::unique_ptr<EventBuffer> batch = std::move(pending_);
-            busy_ = true;
-            lock.unlock();
-            guest_.dispatchBatch(*batch);
-            batch->clear();
-            batchesDrained_.fetch_add(1, std::memory_order_relaxed);
-            if (watchdog_ != nullptr)
-                watchdog_->beat(dogId_);
-            lock.lock();
-            spare_ = std::move(batch);
-            busy_ = false;
-            cv_.notify_all();
-            if (stop_)
-                return;
-        }
-    }
-
-    Guest &guest_;
-    std::thread worker_;
-    mutable std::mutex m_;
-    std::condition_variable cv_;
-    std::unique_ptr<EventBuffer> pending_;
-    std::unique_ptr<EventBuffer> spare_;
-    bool busy_ = false;
-    bool stop_ = false;
-    sigil::Watchdog *watchdog_ = nullptr;
-    int dogId_ = -1;
-    std::atomic<std::uint64_t> batchesDrained_{0};
-};
 
 std::string
 GuestConfigError::describe() const
@@ -148,29 +22,15 @@ GuestConfig::validate() const
                      std::string message) -> std::optional<GuestConfigError> {
         return GuestConfigError{knob, std::move(message)};
     };
-    char detail[96];
-    if (shardCount == 0 || shardCount > 64 ||
-        (shardCount & (shardCount - 1)) != 0) {
-        std::snprintf(detail, sizeof(detail),
-                      "must be a power of two in [1, 64] (got %u)",
-                      shardCount);
-        return reject("shardCount", detail);
-    }
-    if (decodeThreads == 0 || decodeThreads > 64) {
-        std::snprintf(detail, sizeof(detail),
-                      "must be in [1, 64] (got %u)", decodeThreads);
-        return reject("decodeThreads", detail);
-    }
     if (eventBufferEvents == 0)
         return reject("eventBufferEvents", "must be at least 1");
     if (asyncWriter && writerQueueFrames < 2) {
+        char detail[96];
         std::snprintf(detail, sizeof(detail),
                       "must be at least 2 with asyncWriter (got %zu)",
                       writerQueueFrames);
         return reject("writerQueueFrames", detail);
     }
-    if (shardQueueCapacity == 0)
-        return reject("shardQueueCapacity", "must be at least 1");
     return std::nullopt;
 }
 
@@ -186,26 +46,13 @@ Guest::Guest(std::string program_name, const GuestConfig &config)
         watchdog_ = std::make_shared<sigil::Watchdog>(config.stallTimeoutMs);
     inputFn_ = functions_.intern("*input*");
     threads_.push_back(ThreadCtx{{}, kStackBase});
-    batching_ = config.batchEvents || config.asyncTools;
+    batching_ = config.batchEvents;
     if (batching_) {
         fillBuf_ = std::make_unique<EventBuffer>(config.eventBufferEvents);
-        // Fill buffer, plus the pipeline's second (double) buffer.
-        std::size_t buffers = config.asyncTools ? 2 : 1;
         bufferBytesCharged_ =
-            buffers * EventBuffer::footprintBytes(config.eventBufferEvents);
+            EventBuffer::footprintBytes(config.eventBufferEvents);
         governor_->charge(sigil::MemCategory::EventBuffers,
                           bufferBytesCharged_);
-        if (config.asyncTools) {
-            pipeline_ = std::make_unique<AsyncToolPipeline>(
-                *this, config.eventBufferEvents, watchdog_.get());
-            // The consumer dereferences registry entries while the
-            // workload thread appends new ones; stall it across the
-            // rare vector reallocation so storage never moves under a
-            // concurrent reader.
-            auto barrier = [this] { pipeline_->waitIdle(); };
-            functions_.setGrowthBarrier(barrier);
-            contexts_.setGrowthBarrier(barrier);
-        }
     }
 }
 
@@ -214,7 +61,6 @@ Guest::~Guest()
     // Unsynced buffered events are dropped, not dispatched: the tools
     // (owned by the caller) may already be destroyed by now. finish()
     // is the orderly path.
-    pipeline_.reset();
     governor_->release(sigil::MemCategory::EventBuffers,
                        bufferBytesCharged_);
 }
@@ -250,30 +96,17 @@ Guest::flushFill()
 {
     if (fillBuf_->empty())
         return;
-    if (pipeline_) {
-        fillBuf_ = pipeline_->submit(std::move(fillBuf_));
-    } else {
-        dispatchBatch(*fillBuf_);
-        fillBuf_->clear();
-    }
-}
-
-void
-Guest::dispatchBatch(const EventBuffer &batch)
-{
     for (Tool *t : tools_)
-        t->processBatch(batch);
+        t->processBatch(*fillBuf_);
+    fillBuf_->clear();
 }
 
 void
 Guest::sync()
 {
-    if (batching_) {
+    if (batching_)
         flushFill();
-        if (pipeline_)
-            pipeline_->waitIdle();
-    }
-    // Tools may run their own internal concurrency (shard workers)
+    // Tools may own queues of their own (the async trace writer's)
     // regardless of the transport mode; give each a chance to drain.
     for (Tool *t : tools_)
         t->sync();
@@ -358,12 +191,9 @@ Guest::alloc(std::size_t bytes, std::string_view tag)
     if (heapPtr_ >= kStackBase)
         fatal("guest heap exhausted (%llu bytes allocated)",
               static_cast<unsigned long long>(heapBytes()));
-    if (pipeline_ && allocations_.size() == allocations_.capacity())
-        pipeline_->waitIdle();
     allocations_.push_back(Allocation{
         base, static_cast<std::uint64_t>(bytes),
         std::string(tag.empty() ? "anon" : tag)});
-    allocCount_.store(allocations_.size(), std::memory_order_release);
     return base;
 }
 
@@ -371,10 +201,8 @@ int
 Guest::allocationOf(Addr addr) const
 {
     // Allocations are bump-allocated, so the vector is base-sorted.
-    // The published count (not the raw vector size) bounds the search
-    // so the async consumer sees a consistent prefix.
     std::size_t lo = 0;
-    std::size_t hi = allocCount_.load(std::memory_order_acquire);
+    std::size_t hi = allocations_.size();
     while (lo < hi) {
         std::size_t mid = (lo + hi) / 2;
         if (allocations_[mid].base <= addr)
@@ -599,11 +427,7 @@ Guest::finish()
 bool
 Guest::eventsPendingDispatch() const
 {
-    if (!batching_)
-        return false;
-    if (fillBuf_ && !fillBuf_->empty())
-        return true;
-    return pipeline_ && !pipeline_->idle();
+    return batching_ && !fillBuf_->empty();
 }
 
 void
@@ -746,7 +570,6 @@ Guest::restoreState(ByteSource &src)
             return false;
         allocations_.push_back(std::move(a));
     }
-    allocCount_.store(allocations_.size(), std::memory_order_release);
 
     roiActive_ = src.u8() != 0;
     finished_ = src.u8() != 0;

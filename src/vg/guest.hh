@@ -18,7 +18,6 @@
 #ifndef SIGIL_VG_GUEST_HH
 #define SIGIL_VG_GUEST_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -63,7 +62,7 @@ struct GuestCounters
 /** One rejected GuestConfig knob (see GuestConfig::validate()). */
 struct GuestConfigError
 {
-    /** Name of the offending knob, e.g. "shardCount". */
+    /** Name of the offending knob, e.g. "eventBufferEvents". */
     std::string knob;
     /** What is wrong with it. */
     std::string message;
@@ -92,46 +91,8 @@ struct GuestConfig
      */
     bool batchEvents = false;
 
-    /**
-     * Asynchronous analysis pipeline (implies batchEvents): a consumer
-     * thread drains filled buffers through the tools while the workload
-     * thread fills the other buffer (double buffering). sync() is the
-     * barrier that makes tool state current; finish() syncs
-     * implicitly, so end-of-run results are bit-identical to
-     * synchronous dispatch. Tools must not be destroyed before
-     * finish()/sync() has drained the pipeline.
-     */
-    bool asyncTools = false;
-
     /** Capacity of each event buffer, in records. */
     std::size_t eventBufferEvents = 4096;
-
-    /**
-     * Address-sharded parallel analysis: number of shard workers a
-     * sharding-aware tool (core::SigilProfiler) may spin up, each
-     * owning a disjoint slice of the shadowed address space. 1 (the
-     * default) keeps the fully serial analysis path; must be a power
-     * of two, at most 64. Purely advisory to the tools — the guest
-     * itself only validates and carries the value.
-     */
-    unsigned shardCount = 1;
-
-    /**
-     * Capacity, in records, of each shard's bounded SPSC work queue
-     * (rounded up to a power of two by the queue). Small capacities
-     * exercise backpressure; the default absorbs routing bursts.
-     */
-    std::size_t shardQueueCapacity = std::size_t{1} << 15;
-
-    /**
-     * Parallel trace ingestion: number of decode worker threads a
-     * BinaryReplaySession spins up to CRC-verify, decompress, and
-     * pre-decode frame payloads ahead of in-order delivery. 1 (the default) keeps the fully serial decode
-     * path; at most 64. Delivery to tools is bit-identical across all
-     * values — the workers only front-run pure per-frame work (see
-     * DESIGN.md §4.6). Purely advisory to the replay layer.
-     */
-    unsigned decodeThreads = 1;
 
     /**
      * Background trace writer: a BinaryTraceRecorder attached to this
@@ -151,8 +112,8 @@ struct GuestConfig
     /**
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
-     * shadow chunks (hot + cold + stamp tables), shard work queues,
-     * decode-pipeline windows, and event buffers. When an allocation
+     * shadow chunks (hot + cold + stamp tables) and the event buffer.
+     * When an allocation
      * would exceed the budget the shadow evicts least-recently-used
      * chunks first and then escalates to the profiler's
      * never-descending degradation ladder instead of OOM-ing. 0 (the
@@ -162,13 +123,11 @@ struct GuestConfig
 
     /**
      * Stall deadline, in milliseconds, for the watchdog
-     * (support/watchdog.hh) over every worker thread this guest's
-     * subsystems spawn: shard workers, decode workers, the async
-     * analysis consumer, and the background trace writer. A worker
-     * busy without progress for longer than this fails the run with a
-     * structured diagnostic report (decode workers instead degrade:
-     * the pipeline restarts from the consumer's position). 0 (the
-     * default) disables the watchdog.
+     * (support/watchdog.hh) over the one worker thread this guest's
+     * subsystems spawn: the background trace writer. A writer busy
+     * without progress for longer than this fails the run with a
+     * structured diagnostic report. 0 (the default) disables the
+     * watchdog.
      */
     unsigned stallTimeoutMs = 0;
 
@@ -181,8 +140,6 @@ struct GuestConfig
      */
     std::optional<GuestConfigError> validate() const;
 };
-
-class AsyncToolPipeline;
 
 /** The instrumented guest program. */
 class Guest
@@ -224,10 +181,10 @@ class Guest
      *
      * Tools routinely outlive the guest they were attached to (tests
      * tear the guest down first), so any subsystem that must reach the
-     * governor or watchdog from its own destructor — ShardEngine
-     * releasing its queue charge, the async trace writer unregistering
-     * its heartbeat — keeps one of these shared handles instead of the
-     * raw pointer.
+     * governor or watchdog from its own destructor — the async trace
+     * writer unregistering its heartbeat, the profiler's shadow
+     * releasing its charge — keeps one of these shared handles instead
+     * of the raw pointer.
      */
     /// @{
     std::shared_ptr<sigil::MemoryGovernor> governorShared() const
@@ -432,12 +389,11 @@ class Guest
     void finish();
 
     /**
-     * Flush buffered events to the tools and, in async mode, wait for
-     * the consumer thread to drain them; then sync() every tool so
-     * internal tool concurrency (shard workers) drains too. After
+     * Flush buffered events to the tools, then sync() every tool so
+     * tool-internal queues (the async trace writer's) drain too. After
      * sync() every tool has observed every event emitted so far;
-     * required before querying tool state mid-run in batched/async or
-     * sharded mode. finish() syncs implicitly.
+     * required before querying tool state mid-run in batched mode.
+     * finish() syncs implicitly.
      */
     void sync();
 
@@ -454,7 +410,7 @@ class Guest
 
     /**
      * True while buffered events have not yet reached every tool
-     * (batched/async mode). Tool state queried while this is true is
+     * (batched mode). Tool state queried while this is true is
      * stale; call sync() first. Always false in per-event mode.
      */
     bool eventsPendingDispatch() const;
@@ -509,16 +465,11 @@ class Guest
     /** @name Batched transport */
     /// @{
 
-    friend class AsyncToolPipeline;
-
     /** Append one record with the current ambient state. */
     void appendEvent(EventKind kind, std::uint64_t a, std::uint64_t b);
 
-    /** Hand the filled buffer to the tools (or the consumer thread). */
+    /** Run the fill buffer through every tool, in attach order. */
     void flushFill();
-
-    /** Run one buffer through every attached tool, in attach order. */
-    void dispatchBatch(const EventBuffer &batch);
 
     /// @}
 
@@ -534,17 +485,13 @@ class Guest
 
     Addr heapPtr_ = kHeapBase;
     std::vector<Allocation> allocations_;
-    /** Allocation count published for cross-thread allocationOf(). */
-    std::atomic<std::size_t> allocCount_{0};
 
     FunctionId inputFn_;
     bool roiActive_ = false;
     bool finished_ = false;
 
-    /** Declared before pipeline_ (and destroyed after it): the
-     *  pipeline's consumer thread heartbeats into the watchdog and the
-     *  governor until it is joined. Shared so subsystems that outlive
-     *  the guest (see governorShared()) keep them alive. */
+    /** Shared so subsystems that outlive the guest (see
+     *  governorShared()) keep them alive. */
     std::shared_ptr<sigil::MemoryGovernor> governor_;
     std::shared_ptr<sigil::Watchdog> watchdog_;
     /** Event-buffer bytes charged to the governor (released in dtor). */
@@ -552,7 +499,6 @@ class Guest
 
     bool batching_ = false;
     std::unique_ptr<EventBuffer> fillBuf_;
-    std::unique_ptr<AsyncToolPipeline> pipeline_;
 
     GuestCounters counters_;
 };

@@ -94,10 +94,10 @@ class Tool
     virtual void roi(bool active) { (void)active; }
 
     /**
-     * Drain any asynchronous analysis state the tool owns (e.g. shard
-     * worker queues) so that queries observe every event delivered so
-     * far. Called by Guest::sync() and Guest::finish(); tools without
-     * internal concurrency ignore it.
+     * Drain any queue the tool owns (e.g. the async trace writer's
+     * frame queue) so that its output reflects every event delivered
+     * so far. Called by Guest::sync() and Guest::finish(); tools
+     * without internal concurrency ignore it.
      */
     virtual void sync() {}
 

@@ -27,7 +27,6 @@
 #include "support/crc32c.hh"
 #include "support/logging.hh"
 #include "support/lz.hh"
-#include "support/mem_governor.hh"
 #include "support/watchdog.hh"
 
 namespace sigil::vg {
@@ -49,9 +48,6 @@ constexpr std::uint8_t kTagEvents = 0x02;
  */
 constexpr std::uint8_t kTagShutdown = 0x03;
 /// @}
-
-/** Test-only decode-worker delay hook (setDecodeWorkerDelayForTesting). */
-void (*gDecodeWorkerDelayHook)(std::uint64_t block_seq) = nullptr;
 
 /**
  * Frame sync bytes. Resynchronization scans for this pattern and then
@@ -250,7 +246,7 @@ class Cursor
  * absolute address for accesses (fn id / tid / iops for the others)
  * and `b` the size (flops for ops); `at` is the absolute offset of the
  * event's opcode byte, preserved so semantic errors raised at delivery
- * name the same position the fused serial decoder would.
+ * name the event's own position.
  */
 struct PreEvent
 {
@@ -263,10 +259,8 @@ struct PreEvent
 /**
  * Syntactic half of event decoding: opcode, operand varints, and the
  * value sanity caps — everything that depends only on the payload
- * bytes, so it can run on a decode worker thread. Semantic checks
- * (call depth, ROI state, function-id resolution) stay with
- * ReplayCtx::deliverEvent on the delivery thread. The split preserves
- * the fused decoder's error positions exactly: operand errors are
+ * bytes. Semantic checks (call depth, ROI state, function-id
+ * resolution) stay with ReplayCtx::deliverEvent. Operand errors are
  * raised here mid-event, value-cap errors at the event's `at`.
  */
 void
@@ -362,9 +356,7 @@ struct ReplayCtx
 
     /**
      * Semantic half of event delivery: guest-state checks and the
-     * actual tool dispatch. Always runs on the delivery thread, in
-     * stream order, regardless of how many threads decoded the frame —
-     * which is what keeps parallel replay bit-identical to serial.
+     * actual tool dispatch, in stream order.
      */
     void
     deliverEvent(const PreEvent &ev, std::int64_t block)
@@ -575,7 +567,7 @@ findNextFrame(std::string_view data, std::size_t from)
 
 /// @}
 
-/** @name Frame-parallel decode pipeline */
+/** @name Per-frame decode */
 /// @{
 
 /**
@@ -583,8 +575,8 @@ findNextFrame(std::string_view data, std::size_t from)
  * alone, independent of replay state: the payload-CRC verdict, the
  * decompressed image, the syntactically decoded events or
  * function records, and the first syntactic error if the payload is
- * malformed. Events before `error` are exactly those the serial
- * decoder would have delivered before raising it.
+ * malformed. Events before `error` are the ones that decoded cleanly;
+ * replay delivers them before raising the error.
  */
 struct DecodeResult
 {
@@ -599,7 +591,7 @@ struct DecodeResult
  * frame says so, and syntactically decode the payload. `payload_off`
  * is the absolute file offset of the stored payload; errors inside a
  * compressed payload are positioned relative to it in the uncompressed
- * image, so they are stable across thread counts.
+ * image.
  */
 void
 decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
@@ -655,355 +647,6 @@ decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
         out.error = std::move(abort.err);
     }
 }
-
-/**
- * Frame-parallel decode pipeline: a lazy scanner walks the frame chain
- * ahead of the consumer and hands each syntactically located frame to
- * a worker pool, which runs decodeFramePayload concurrently. The
- * consumer asks for "the decode of the frame at offset X" and gets a
- * cached result (or computes it inline on a miss). Only pure per-frame
- * work moves off the consumer thread; every decision that touches
- * replay state — staleness, resync, accounting, delivery — stays with
- * the consumer in stream order, which is what makes the replay
- * bit-identical to serial for every thread count.
- *
- * The scanner follows exactly the chain the consumer will walk: after
- * a parsed frame it advances to that frame's end; on damage it stops
- * (strict) or probes forward with findNextFrame (salvage). If the
- * consumer ever lands somewhere the scanner did not predict, acquire()
- * discards stale work and restarts the scan from the requested offset,
- * so a miss costs only an inline decode, never correctness.
- */
-class DecodePipeline
-{
-  public:
-    DecodePipeline(std::string_view data, bool salvage, unsigned workers,
-                   std::size_t start_pos, unsigned stall_timeout_ms,
-                   Watchdog *watchdog, MemoryGovernor *governor)
-        : data_(data), salvage_(salvage),
-          window_(static_cast<std::size_t>(workers) * 4),
-          stallTimeoutMs_(stall_timeout_ms), dog_(watchdog),
-          gov_(governor), scanPos_(start_pos)
-    {
-        threads_.reserve(workers);
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this, i] { worker(i); });
-    }
-
-    ~DecodePipeline()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cvWork_.notify_all();
-        cvDone_.notify_all();
-        for (auto &t : threads_)
-            t.join();
-        for (auto &job : inflight_)
-            retire(*job);
-    }
-
-    /**
-     * True after a worker held the consumer's frame past the stall
-     * deadline: the consumer decodes inline (bit-identical, slower)
-     * until tryRecover() restarts the pipeline. Consumer-thread state.
-     */
-    bool degraded() const { return degraded_; }
-
-    /**
-     * Restart a degraded pipeline from the consumer's position — the
-     * reset(pos) recovery path. Safe only once no worker still holds a
-     * job (a wedged worker writes into its Job when it finally wakes);
-     * returns false and stays degraded until then.
-     */
-    bool
-    tryRecover(std::size_t pos)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (const auto &job : inflight_) {
-            if (job->taken && !job->done)
-                return false;
-        }
-        while (!inflight_.empty()) {
-            retire(*inflight_.front());
-            inflight_.pop_front();
-        }
-        ready_.clear();
-        scanPos_ = pos;
-        scanDone_ = false;
-        degraded_ = false;
-        topUp(lock);
-        cvWork_.notify_all();
-        return true;
-    }
-
-    /**
-     * Result of decoding the frame whose header parses at `pos`, or
-     * nullptr if the pipeline has no job there (caller decodes
-     * inline). The pointer stays valid until release().
-     */
-    const DecodeResult *
-    acquire(std::size_t pos)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        // Drop jobs for frames the consumer skipped past (resync).
-        while (!inflight_.empty() && inflight_.front()->offset < pos)
-            discardFront(lock);
-        if (inflight_.empty() || inflight_.front()->offset != pos) {
-            // Scanner misprediction: restart the scan here so the
-            // window refills behind this frame.
-            while (!inflight_.empty())
-                discardFront(lock);
-            ready_.clear();
-            scanPos_ = pos;
-            scanDone_ = false;
-            topUp(lock);
-            if (inflight_.empty() || inflight_.front()->offset != pos)
-                return nullptr;
-        }
-        Job *j = inflight_.front().get();
-        if (!j->taken) {
-            // Steal: decode the head frame on the consumer thread
-            // rather than wait for a worker to reach it.
-            j->taken = true;
-            for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-                if (*it == j) {
-                    ready_.erase(it);
-                    break;
-                }
-            }
-            lock.unlock();
-            runJob(*j);
-            lock.lock();
-            finishJob(*j);
-            cvDone_.notify_all();
-        } else if (stallTimeoutMs_ > 0) {
-            // Bounded wait: a worker wedged on this frame past the
-            // deadline must not wedge the replay too. Degrade to
-            // inline decoding (still bit-identical) and let the next
-            // step() attempt tryRecover().
-            bool completed = cvDone_.wait_for(
-                lock, std::chrono::milliseconds(stallTimeoutMs_),
-                [&] { return j->done || stop_; });
-            if (!completed) {
-                degraded_ = true;
-                return nullptr;
-            }
-            if (!j->done)
-                return nullptr;
-        } else {
-            cvDone_.wait(lock, [&] { return j->done || stop_; });
-            if (!j->done)
-                return nullptr;
-        }
-        topUp(lock);
-        cvWork_.notify_all();
-        return &j->result;
-    }
-
-    /** Release the job returned by the last acquire(). */
-    void
-    release()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!inflight_.empty()) {
-            retire(*inflight_.front());
-            inflight_.pop_front();
-        }
-    }
-
-    /** Restart scanning from `pos` (checkpoint restore). */
-    void
-    reset(std::size_t pos)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        while (!inflight_.empty())
-            discardFront(lock);
-        ready_.clear();
-        scanPos_ = pos;
-        scanDone_ = false;
-    }
-
-  private:
-    struct Job
-    {
-        std::size_t offset = 0;
-        FrameHeader h;
-        DecodeResult result;
-        bool taken = false;
-        bool done = false;
-        /** Governor bytes held by result (0 = not charged). */
-        std::size_t chargedBytes = 0;
-    };
-
-    void
-    runJob(Job &j)
-    {
-        if (gDecodeWorkerDelayHook != nullptr)
-            gDecodeWorkerDelayHook(j.h.blockSeq);
-        std::size_t payload_off = j.offset + j.h.headerLen;
-        decodeFramePayload(
-            data_.substr(payload_off,
-                         static_cast<std::size_t>(j.h.payloadLen)),
-            payload_off, j.h,
-            static_cast<std::int64_t>(j.h.blockSeq), j.result);
-    }
-
-    /**
-     * Advance the scan until the prefetch window is full or the chain
-     * ends. Called with mu_ held; pure frame-chain walking, no replay
-     * state involved.
-     */
-    void
-    topUp(std::unique_lock<std::mutex> &)
-    {
-        while (!scanDone_ && inflight_.size() < window_) {
-            auto h = parseFrameAt(data_, scanPos_);
-            if (!h) {
-                if (!salvage_) {
-                    scanDone_ = true;
-                    break;
-                }
-                std::size_t next = findNextFrame(data_, scanPos_ + 1);
-                if (next == std::string_view::npos) {
-                    scanDone_ = true;
-                    break;
-                }
-                scanPos_ = next;
-                continue;
-            }
-            std::size_t frame_end =
-                scanPos_ + h->headerLen +
-                static_cast<std::size_t>(h->payloadLen);
-            if (frame_end > data_.size()) {
-                // Truncated frame: the consumer handles it inline; in
-                // salvage it will resync, which restarts the scan.
-                scanDone_ = true;
-                break;
-            }
-            auto job = std::make_unique<Job>();
-            job->offset = scanPos_;
-            job->h = *h;
-            inflight_.push_back(std::move(job));
-            ready_.push_back(inflight_.back().get());
-            scanPos_ = frame_end;
-            if (h->tag == kTagEnd)
-                scanDone_ = true;
-        }
-    }
-
-    /** Called with mu_ held; blocks until the front job is reusable. */
-    void
-    discardFront(std::unique_lock<std::mutex> &lock)
-    {
-        Job *j = inflight_.front().get();
-        for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-            if (*it == j) {
-                ready_.erase(it);
-                break;
-            }
-        }
-        if (j->taken)
-            cvDone_.wait(lock, [&] { return j->done || stop_; });
-        retire(*j);
-        inflight_.pop_front();
-    }
-
-    /**
-     * Completion bookkeeping, with mu_ held: charge the decoded
-     * frame's footprint to the governor (released by retire()) and
-     * publish the result.
-     */
-    void
-    finishJob(Job &j)
-    {
-        if (gov_ != nullptr) {
-            j.chargedBytes =
-                j.result.events.capacity() * sizeof(PreEvent);
-            for (const auto &[id, name] : j.result.fns)
-                j.chargedBytes += sizeof(id) + name.size();
-            gov_->charge(MemCategory::DecodeWindows, j.chargedBytes);
-        }
-        framesDecoded_.fetch_add(1, std::memory_order_relaxed);
-        j.done = true;
-    }
-
-    /** Return a job's governor charge before it is destroyed. */
-    void
-    retire(Job &j)
-    {
-        if (gov_ != nullptr && j.chargedBytes != 0) {
-            gov_->release(MemCategory::DecodeWindows, j.chargedBytes);
-            j.chargedBytes = 0;
-        }
-    }
-
-    void
-    worker(unsigned index)
-    {
-        int dog_id = -1;
-        if (dog_ != nullptr) {
-            dog_id = dog_->registerEntity(
-                "decode-worker-" + std::to_string(index),
-                Watchdog::StallAction::Degrade, [this] {
-                    char buf[64];
-                    std::snprintf(buf, sizeof(buf),
-                                  "frames decoded=%llu",
-                                  static_cast<unsigned long long>(
-                                      framesDecoded_.load(
-                                          std::memory_order_relaxed)));
-                    return std::string(buf);
-                });
-        }
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            if (dog_ != nullptr)
-                dog_->idle(dog_id);
-            cvWork_.wait(lock,
-                         [&] { return stop_ || !ready_.empty(); });
-            if (stop_)
-                break;
-            if (dog_ != nullptr)
-                dog_->busy(dog_id);
-            Job *j = ready_.front();
-            ready_.pop_front();
-            j->taken = true;
-            lock.unlock();
-            runJob(*j);
-            lock.lock();
-            finishJob(*j);
-            if (dog_ != nullptr)
-                dog_->beat(dog_id);
-            cvDone_.notify_all();
-        }
-        lock.unlock();
-        if (dog_ != nullptr)
-            dog_->unregisterEntity(dog_id);
-    }
-
-    std::string_view data_;
-    const bool salvage_;
-    const std::size_t window_;
-    const unsigned stallTimeoutMs_;
-    Watchdog *dog_;
-    MemoryGovernor *gov_;
-
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-    /** Scanned frames in chain order; the front is the consumer's next. */
-    std::deque<std::unique_ptr<Job>> inflight_;
-    /** Subset of inflight_ not yet taken by any thread, chain order. */
-    std::deque<Job *> ready_;
-    std::size_t scanPos_;
-    bool scanDone_ = false;
-    bool stop_ = false;
-    /** Consumer-thread-only (guarded writes under mu_). */
-    bool degraded_ = false;
-    std::atomic<std::uint64_t> framesDecoded_{0};
-    std::vector<std::thread> threads_;
-};
 
 /// @}
 
@@ -1451,7 +1094,6 @@ struct BinaryReplaySession::Impl
     std::uint64_t eventBlocks = 0;
     bool done = false;
     bool finished = false;
-    std::unique_ptr<DecodePipeline> pipeline;
 
     Impl(std::istream &is, Guest &g, const ReplayOptions &o)
         : guest(g), opts(o), ctx{g, o.policy, report, {}, 0}
@@ -1459,7 +1101,6 @@ struct BinaryReplaySession::Impl
         owned = slurp(is);
         data = owned;
         start();
-        startPipeline();
     }
 
     Impl(std::string_view view, Guest &g, const ReplayOptions &o)
@@ -1467,23 +1108,6 @@ struct BinaryReplaySession::Impl
     {
         data = view;
         start();
-        startPipeline();
-    }
-
-    /**
-     * decodeThreads == 1 keeps the fully serial path (no pipeline at
-     * all).
-     */
-    void
-    startPipeline()
-    {
-        unsigned workers = guest.config().decodeThreads;
-        if (workers < 2 || done)
-            return;
-        pipeline = std::make_unique<DecodePipeline>(
-            data, salvage(), workers, pos,
-            guest.config().stallTimeoutMs, guest.watchdog(),
-            guest.governor());
     }
 
     bool salvage() const { return opts.policy == ReplayPolicy::Salvage; }
@@ -1632,44 +1256,15 @@ struct BinaryReplaySession::Impl
         std::uint64_t payload_off = pos + h->headerLen;
 
         // Pure per-frame work (payload CRC, decompression, syntactic
-        // decode) comes from the worker pool when one is running; a
-        // miss — or no pipeline at all — decodes inline. Either way
-        // the result is a pure function of the frame bytes, and every
-        // stateful decision below stays on this thread in stream order.
-        DecodeResult local;
-        const DecodeResult *dec = nullptr;
-        if (pipeline) {
-            // A degraded pipeline (worker wedged past the stall
-            // deadline) is restarted from the consumer's position as
-            // soon as no worker still holds a job; until then every
-            // frame decodes inline, trading speed for progress.
-            if (pipeline->degraded())
-                pipeline->tryRecover(pos);
-            if (!pipeline->degraded())
-                dec = pipeline->acquire(pos);
-        }
-        if (dec == nullptr) {
-            decodeFramePayload(
-                data.substr(static_cast<std::size_t>(payload_off),
-                            static_cast<std::size_t>(h->payloadLen)),
-                payload_off, *h, bidx, local);
-            dec = &local;
-        }
-        // Releases the pipeline's cached result on every exit path of
-        // this frame, including the early CRC-failure return.
-        struct ReleaseGuard
-        {
-            DecodePipeline *p;
-            const DecodeResult *inlineResult;
-            const DecodeResult *dec;
-            ~ReleaseGuard()
-            {
-                if (p != nullptr && dec != inlineResult)
-                    p->release();
-            }
-        } releaseGuard{pipeline.get(), &local, dec};
+        // decode) first; every stateful decision below then runs in
+        // stream order.
+        DecodeResult decoded;
+        decodeFramePayload(
+            data.substr(static_cast<std::size_t>(payload_off),
+                        static_cast<std::size_t>(h->payloadLen)),
+            payload_off, *h, bidx, decoded);
 
-        if (!dec->crcOk) {
+        if (!decoded.crcOk) {
             TraceError e;
             e.cause = TraceErrorCause::PayloadCrc;
             e.byteOffset = pos;
@@ -1699,12 +1294,12 @@ struct BinaryReplaySession::Impl
             break;
 
           case kTagFunctions: {
-            // Records decoded before a syntactic error are exactly the
-            // ones the serial decoder interned before raising it.
-            for (const auto &[id, name] : dec->fns)
+            // Records decoded before a syntactic error are interned,
+            // then the error fails the frame.
+            for (const auto &[id, name] : decoded.fns)
                 ctx.fnMap[id] = guest.functions().intern(name);
-            if (dec->error.has_value())
-                fail(*dec->error);
+            if (decoded.error.has_value())
+                fail(*decoded.error);
             pos = frame_end;
             break;
           }
@@ -1727,16 +1322,15 @@ struct BinaryReplaySession::Impl
             std::uint64_t delivered = 0;
             bool clean = true;
             try {
-                // Events before a syntactic error are exactly those
-                // the serial decoder would have delivered before it; a
-                // semantic (strict-mode) error interrupts the loop
-                // earlier, just as the fused decoder would.
-                for (const PreEvent &ev : dec->events) {
+                // Events before a syntactic error are delivered, then
+                // the error is raised; a semantic (strict-mode) error
+                // interrupts the loop earlier.
+                for (const PreEvent &ev : decoded.events) {
                     ctx.deliverEvent(ev, bidx);
                     ++delivered;
                 }
-                if (dec->error.has_value())
-                    throw TraceAbort{*dec->error};
+                if (decoded.error.has_value())
+                    throw TraceAbort{*decoded.error};
             } catch (TraceAbort &a) {
                 clean = false;
                 fail(std::move(a.err));
@@ -1905,10 +1499,6 @@ BinaryReplaySession::restoreReaderState(ByteSource &src)
     }
     s.pos = static_cast<std::size_t>(pos);
     s.done = false;
-    // The prefetch window was scanned for the old position; restart it
-    // where the restored replay will actually resume.
-    if (s.pipeline)
-        s.pipeline->reset(s.pos);
     // A session that already errored cannot be resumed over the error.
     return !r.error.has_value();
 }
@@ -2193,12 +1783,6 @@ DurableTraceWriter::finalize()
 }
 
 #endif // SIGIL_HAVE_MMAP
-
-void
-setDecodeWorkerDelayForTesting(void (*hook)(std::uint64_t block_seq))
-{
-    gDecodeWorkerDelayHook = hook;
-}
 
 // ---------------------------------------------------------------------
 // Replay entry points

@@ -277,13 +277,6 @@ ReplayReport replayTraceFile(const std::string &path, Guest &guest,
  * driver can interleave work between blocks — the checkpoint layer
  * uses this to snapshot replay state at block boundaries and to resume
  * a replay mid-stream.
- *
- * When the owning guest's GuestConfig::decodeThreads is greater than
- * one, frame payloads are CRC-verified
- * and pre-decoded by a pool of worker threads running ahead of the
- * step() consumer; delivery order, salvage accounting, and every
- * report counter stay bit-identical to the serial decoder (see
- * DESIGN.md §4.6).
  */
 class BinaryReplaySession
 {
@@ -366,15 +359,6 @@ struct Sgb2BlockInfo
  * layout; returns an empty vector for input without SGB3 frames.
  */
 std::vector<Sgb2BlockInfo> scanSgb2Blocks(std::string_view trace);
-
-/**
- * Test hook: invoked by every decode worker at the start of each frame
- * job with the job's block sequence number. Lets the stall-recovery
- * tests wedge a worker deterministically; never set outside tests.
- * Pass nullptr to clear. Not thread-safe against running sessions —
- * set it before constructing one and clear it after destruction.
- */
-void setDecodeWorkerDelayForTesting(void (*hook)(std::uint64_t block_seq));
 
 } // namespace sigil::vg
 

@@ -3,11 +3,11 @@
  * Differential test of the batched event transport.
  *
  * Replays the same randomized workloads as shadow_span_test through a
- * SigilProfiler and a CgTool under four dispatch modes — per-event
- * virtuals, sync-batched (Tool::processBatch), sync-batched with a tiny
- * buffer (flush-boundary stress), and the asynchronous double-buffered
- * pipeline — and requires the serialized profiles and event traces to
- * be bitwise identical across all of them. Also covers the SGB3 trace
+ * SigilProfiler and a CgTool under three dispatch modes — per-event
+ * virtuals, batched (Tool::processBatch), and batched with a tiny
+ * buffer (flush-boundary stress) — and requires the serialized
+ * profiles and event traces to be bitwise identical across all of
+ * them. Also covers the SGB3 trace
  * format: recorder bytes under batching, round-trip against the live
  * run, replayTraceFile, and rejection of garbage and truncated inputs.
  */
@@ -40,7 +40,7 @@ struct TraceParams
 };
 
 /** Guest dispatch mode under test. */
-enum class Mode { kPerEvent, kBatched, kBatchedTiny, kAsync };
+enum class Mode { kPerEvent, kBatched, kBatchedTiny };
 
 vg::GuestConfig
 guestConfig(Mode mode)
@@ -55,9 +55,6 @@ guestConfig(Mode mode)
       case Mode::kBatchedTiny:
         cfg.batchEvents = true;
         cfg.eventBufferEvents = 7; // stress flush boundaries
-        break;
-      case Mode::kAsync:
-        cfg.asyncTools = true;
         break;
     }
     return cfg;
@@ -209,7 +206,6 @@ TEST_P(EventBatchDifferential, BatchedModesMatchPerEventDispatch)
     RunResult ref = runOnce(p, Mode::kPerEvent);
     RunResult batched = runOnce(p, Mode::kBatched);
     RunResult tiny = runOnce(p, Mode::kBatchedTiny);
-    RunResult async = runOnce(p, Mode::kAsync);
 
     EXPECT_EQ(ref.profile, batched.profile);
     EXPECT_EQ(ref.events, batched.events);
@@ -218,10 +214,6 @@ TEST_P(EventBatchDifferential, BatchedModesMatchPerEventDispatch)
     EXPECT_EQ(ref.profile, tiny.profile);
     EXPECT_EQ(ref.events, tiny.events);
     EXPECT_EQ(ref.cg, tiny.cg);
-
-    EXPECT_EQ(ref.profile, async.profile);
-    EXPECT_EQ(ref.events, async.events);
-    EXPECT_EQ(ref.cg, async.cg);
 
     // Guard against the vacuous pass.
     EXPECT_GT(ref.profile.size(), 100u);
@@ -254,8 +246,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EventBatch, SyncMakesToolStateCurrentMidRun)
 {
+    // 200 events fit in one default-sized buffer, so nothing reaches
+    // the profiler until sync() flushes it.
     vg::GuestConfig cfg;
-    cfg.asyncTools = true;
+    cfg.batchEvents = true;
     vg::Guest g("sync_mid_run", cfg);
     core::SigilProfiler prof;
     g.addTool(&prof);
@@ -266,7 +260,9 @@ TEST(EventBatch, SyncMakesToolStateCurrentMidRun)
         g.write(buf + static_cast<vg::Addr>(i) * 8, 8);
         g.read(buf + static_cast<vg::Addr>(i) * 8, 8);
     }
+    EXPECT_TRUE(g.eventsPendingDispatch());
     g.sync();
+    EXPECT_FALSE(g.eventsPendingDispatch());
     vg::ContextId main_ctx = g.currentContext();
     EXPECT_EQ(prof.aggregates(main_ctx).readBytes, 800u);
     // More work after the sync still lands.

@@ -5,15 +5,13 @@
  *
  * Governor: exact reconciliation of the ledger against ShadowStats,
  * bit-identity of governed runs whose budget covers the natural peak,
- * the peak-bound contract of tight budgets (within budget plus at most
- * one chunk of slack, shedding LRU chunks before fidelity), and the
- * serial-vs-sharded differential under the same effective shadow
- * headroom. Watchdog: stall detection with structured diagnostics,
- * idle workers never flagged, re-arming after recovery, a wedged
- * async-tools consumer surfacing through a custom stall handler, and
- * the decode pipeline degrading — bit-identically — around a wedged
- * decode worker. Plus GuestConfig::validate() knob rejection and the
- * injector/sharding conflict guard.
+ * and the peak-bound contract of tight budgets (within budget plus at
+ * most one chunk of slack, shedding LRU chunks before fidelity).
+ * Watchdog: stall detection with structured diagnostics, idle workers
+ * never flagged, re-arming after recovery, and a wedged background
+ * trace writer surfacing through a custom stall handler without
+ * changing the trace bytes. Plus GuestConfig::validate() knob
+ * rejection.
  */
 
 #include <gtest/gtest.h>
@@ -103,19 +101,16 @@ struct GovernedRun
     std::string profile;
     std::size_t shadowPeak = 0;
     std::size_t totalPeak = 0;
-    std::size_t queuesLive = 0;
     std::uint64_t evictions = 0;
     int degradation = 0;
 };
 
 GovernedRun
-runGoverned(std::uint64_t seed, int steps, std::size_t budget,
-            unsigned shards = 1)
+runGoverned(std::uint64_t seed, int steps, std::size_t budget)
 {
     QuietLogs quiet;
     vg::GuestConfig gc;
     gc.memoryBudgetBytes = budget;
-    gc.shardCount = shards;
     vg::Guest g("governed", gc);
     core::SigilConfig cfg;
     cfg.collectReuse = true;
@@ -127,7 +122,6 @@ runGoverned(std::uint64_t seed, int steps, std::size_t budget,
     const MemoryGovernor *gov = g.governor();
     out.shadowPeak = gov->peakBytes(MemCategory::Shadow);
     out.totalPeak = gov->peakBytes();
-    out.queuesLive = gov->liveBytes(MemCategory::ShardQueues);
     out.evictions = prof.shadowStats().evictions;
     out.degradation = prof.degradationLevel();
     std::ostringstream pos;
@@ -145,7 +139,7 @@ TEST(MemoryGovernor, LedgerBasics)
     MemoryGovernor gov(1000);
     EXPECT_FALSE(gov.overBudget());
     gov.charge(MemCategory::Shadow, 600);
-    gov.charge(MemCategory::ShardQueues, 300);
+    gov.charge(MemCategory::EventBuffers, 300);
     EXPECT_EQ(gov.liveBytes(), 900u);
     EXPECT_FALSE(gov.overBudget());
     EXPECT_TRUE(gov.overBudget(200)); // headroom would exceed
@@ -153,7 +147,7 @@ TEST(MemoryGovernor, LedgerBasics)
     EXPECT_EQ(gov.liveBytes(MemCategory::Shadow), 0u);
     EXPECT_EQ(gov.peakBytes(MemCategory::Shadow), 600u);
     EXPECT_EQ(gov.peakBytes(), 900u);
-    gov.release(MemCategory::ShardQueues, 300);
+    gov.release(MemCategory::EventBuffers, 300);
     EXPECT_EQ(gov.liveBytes(), 0u);
 
     std::string text = gov.describe();
@@ -212,34 +206,17 @@ TEST(MemoryGovernor, TightBudgetBoundsPeakByOneChunk)
     ASSERT_GT(tight.profile.size(), 100u); // run completed, no OOM path
 }
 
-TEST(MemoryGovernor, GovernedShardedMatchesGovernedSerial)
-{
-    // Give both modes identical *shadow* headroom: the sharded run
-    // carries its fixed queue charge on the same ledger, so its budget
-    // is raised by exactly that amount.
-    GovernedRun natural = runGoverned(304, 15000, 0);
-    std::size_t budget = natural.totalPeak / 3;
-    GovernedRun serial = runGoverned(304, 15000, budget);
-    ASSERT_GT(serial.evictions, 0u);
-
-    GovernedRun sharded_natural = runGoverned(304, 15000, 0, 4);
-    ASSERT_GT(sharded_natural.queuesLive, 0u);
-    GovernedRun sharded = runGoverned(
-        304, 15000, budget + sharded_natural.queuesLive, 4);
-    EXPECT_EQ(sharded.profile, serial.profile)
-        << "governed eviction must not depend on the execution mode";
-    EXPECT_GT(sharded.evictions, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Stall watchdog
 // ---------------------------------------------------------------------
 
 TEST(WatchdogUnit, BusyWithoutProgressFires)
 {
-    Watchdog dog(40);
+    // Declared before the watchdog, so its monitor thread is joined
+    // before the handler's targets go away.
     std::mutex mu;
     std::vector<StallReport> reports;
+    Watchdog dog(40);
     dog.setStallHandler([&](const StallReport &r) {
         std::lock_guard<std::mutex> lock(mu);
         reports.push_back(r);
@@ -288,8 +265,8 @@ TEST(WatchdogUnit, BusyWithoutProgressFires)
 TEST(WatchdogUnit, DegradeActionWarnsWithoutHandler)
 {
     QuietLogs quiet;
-    Watchdog dog(30);
     bool handler_ran = false;
+    Watchdog dog(30);
     dog.setStallHandler(
         [&](const StallReport &) { handler_ran = true; });
     int id = dog.registerEntity("soft-worker",
@@ -302,103 +279,94 @@ TEST(WatchdogUnit, DegradeActionWarnsWithoutHandler)
     dog.unregisterEntity(id);
 }
 
-/** A tool that wedges inside its first batch. */
-class WedgingTool : public vg::Tool
+/**
+ * An in-memory stream buffer that wedges once: the first write that
+ * arrives from a thread other than the one that built it sleeps
+ * ~400 ms before storing its bytes. With the async writer on, that
+ * thread is the background trace writer.
+ */
+class WedgeOnceBuf : public std::stringbuf
 {
   public:
-    void
-    processBatch(const vg::EventBuffer &batch) override
+    WedgeOnceBuf() : std::stringbuf(std::ios::out | std::ios::binary) {}
+
+    bool wedged() const { return wedged_.load(); }
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
     {
-        if (!wedged_) {
-            wedged_ = true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        }
-        events_ += batch.size();
+        maybeWedge();
+        return std::stringbuf::xsputn(s, n);
     }
 
-    std::uint64_t events_ = 0;
-    bool wedged_ = false;
+    int_type
+    overflow(int_type c) override
+    {
+        maybeWedge();
+        return std::stringbuf::overflow(c);
+    }
+
+  private:
+    void
+    maybeWedge()
+    {
+        if (std::this_thread::get_id() != owner_ && !wedged_.exchange(true))
+            std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    }
+
+    const std::thread::id owner_ = std::this_thread::get_id();
+    std::atomic<bool> wedged_{false};
 };
 
-TEST(WatchdogGuest, AsyncConsumerStallSurfacesStructuredReport)
+TEST(WatchdogGuest, TraceWriterStallSurfacesStructuredReport)
 {
-    QuietLogs quiet;
-    vg::GuestConfig gc;
-    gc.asyncTools = true;
-    gc.eventBufferEvents = 64;
-    gc.stallTimeoutMs = 60;
-    vg::Guest g("stall", gc);
-    std::mutex mu;
-    std::vector<std::string> messages;
-    ASSERT_NE(g.watchdog(), nullptr);
-    g.watchdog()->setStallHandler([&](const StallReport &r) {
-        std::lock_guard<std::mutex> lock(mu);
-        messages.push_back(r.message());
-    });
-    WedgingTool tool;
-    g.addTool(&tool);
-    driveWideWorkload(g, 77, 4000);
-
-    EXPECT_GE(g.watchdog()->stallsDetected(), 1u);
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_FALSE(messages.empty());
-    EXPECT_NE(messages.front().find("async-tool-consumer"),
-              std::string::npos);
-    EXPECT_NE(messages.front().find("batches drained"),
-              std::string::npos);
-    EXPECT_GT(tool.events_, 0u); // the run still completed
-}
-
-namespace decode_delay {
-std::atomic<bool> armed{false};
-
-void
-hook(std::uint64_t block_seq)
-{
-    // Wedge one worker on one early frame, once.
-    if (block_seq == 2 && armed.exchange(false))
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-}
-} // namespace decode_delay
-
-TEST(WatchdogGuest, DecodeWorkerStallDegradesBitIdentically)
-{
-    std::string trace;
+    // Reference: the same workload recorded synchronously.
+    std::ostringstream sync_os(std::ios::binary);
     {
-        vg::Guest g("rec");
-        std::ostringstream os(std::ios::binary);
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3, 64);
+        vg::Guest g("stall");
+        vg::BinaryTraceRecorder rec(sync_os, vg::TraceFormat::SGB3, 64);
         g.addTool(&rec);
-        driveWideWorkload(g, 88, 6000);
-        trace = os.str();
+        driveWideWorkload(g, 77, 4000);
     }
 
-    auto replay = [&](unsigned decode_threads,
-                      unsigned stall_ms) -> std::string {
-        QuietLogs quiet;
-        vg::GuestConfig gc;
-        gc.decodeThreads = decode_threads;
-        gc.stallTimeoutMs = stall_ms;
-        vg::Guest g("replay", gc);
-        core::SigilProfiler prof{core::SigilConfig{}};
-        g.addTool(&prof);
-        std::istringstream is(trace, std::ios::binary);
-        vg::ReplayReport report =
-            vg::replayBinaryTrace(is, g, vg::ReplayOptions{});
-        EXPECT_TRUE(report.ok());
-        EXPECT_TRUE(report.cleanShutdown);
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        return pos.str();
-    };
+    QuietLogs quiet;
+    vg::GuestConfig gc;
+    gc.asyncWriter = true;
+    gc.stallTimeoutMs = 60;
+    std::mutex mu;
+    std::vector<StallReport> reports;
+    WedgeOnceBuf wedge_buf;
+    {
+        vg::Guest g("stall", gc);
+        ASSERT_NE(g.watchdog(), nullptr);
+        g.watchdog()->setStallHandler([&](const StallReport &r) {
+            std::lock_guard<std::mutex> lock(mu);
+            reports.push_back(r);
+        });
+        std::ostream os(&wedge_buf);
+        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3, 64);
+        g.addTool(&rec);
+        ASSERT_TRUE(rec.asyncActive());
+        driveWideWorkload(g, 77, 4000);
+        EXPECT_GE(g.watchdog()->stallsDetected(), 1u);
+    }
+    EXPECT_TRUE(wedge_buf.wedged());
 
-    std::string serial = replay(1, 0);
-    decode_delay::armed.store(true);
-    vg::setDecodeWorkerDelayForTesting(&decode_delay::hook);
-    std::string degraded = replay(3, 50);
-    vg::setDecodeWorkerDelayForTesting(nullptr);
-    EXPECT_FALSE(decode_delay::armed.load()); // the wedge really hit
-    EXPECT_EQ(degraded, serial);
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_FALSE(reports.empty());
+    EXPECT_EQ(reports.front().entity, "trace-writer");
+    bool saw_diag = false;
+    for (const auto &d : reports.front().diagnostics) {
+        saw_diag |= d.first == "trace-writer" &&
+                    d.second.find("frames written=") != std::string::npos;
+    }
+    EXPECT_TRUE(saw_diag);
+    EXPECT_NE(reports.front().message().find("trace-writer"),
+              std::string::npos);
+    // The stall is reported, not fatal, and costs no bytes.
+    ASSERT_GT(sync_os.str().size(), 1000u);
+    EXPECT_EQ(wedge_buf.str(), sync_os.str());
 }
 
 // ---------------------------------------------------------------------
@@ -410,20 +378,14 @@ TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
     vg::GuestConfig good;
     EXPECT_FALSE(good.validate().has_value());
 
-    vg::GuestConfig shards;
-    shards.shardCount = 3;
-    auto err = shards.validate();
+    vg::GuestConfig buffers;
+    buffers.eventBufferEvents = 0;
+    auto err = buffers.validate();
     ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "shardCount");
-    EXPECT_NE(err->message.find("power of two"), std::string::npos);
-    EXPECT_NE(err->describe().find("GuestConfig::shardCount"),
+    EXPECT_EQ(err->knob, "eventBufferEvents");
+    EXPECT_NE(err->message.find("at least 1"), std::string::npos);
+    EXPECT_NE(err->describe().find("GuestConfig::eventBufferEvents"),
               std::string::npos);
-
-    vg::GuestConfig decode;
-    decode.decodeThreads = 65;
-    err = decode.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "decodeThreads");
 
     vg::GuestConfig queue;
     queue.asyncWriter = true;
@@ -431,44 +393,18 @@ TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
     err = queue.validate();
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->knob, "writerQueueFrames");
+    EXPECT_NE(err->message.find("got 1"), std::string::npos);
     // The same queue depth is fine without the async writer.
     queue.asyncWriter = false;
     EXPECT_FALSE(queue.validate().has_value());
-
-    vg::GuestConfig buffers;
-    buffers.eventBufferEvents = 0;
-    err = buffers.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "eventBufferEvents");
-
-    vg::GuestConfig cap;
-    cap.shardQueueCapacity = 0;
-    err = cap.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "shardQueueCapacity");
 }
 
 TEST(GuestConfigValidate, BadConfigDiesAtGuestConstruction)
 {
     vg::GuestConfig bad;
-    bad.shardCount = 5;
+    bad.eventBufferEvents = 0;
     EXPECT_EXIT(vg::Guest("bad", bad), ::testing::ExitedWithCode(1),
-                "shardCount");
-}
-
-TEST(GuestConfigValidate, InjectorConflictsWithSharding)
-{
-    vg::GuestConfig gc;
-    gc.shardCount = 2;
-    EXPECT_EXIT(
-        {
-            vg::Guest g("conflict", gc);
-            core::SigilProfiler prof{core::SigilConfig{}};
-            prof.shadowMemory().setAllocationFailureInjector(
-                [] { return false; });
-            g.addTool(&prof);
-        },
-        ::testing::ExitedWithCode(1), "allocation-failure injection");
+                "eventBufferEvents");
 }
 
 } // namespace

@@ -1,14 +1,13 @@
 /**
  * @file
- * Differential suite for the pipelined parallel trace-ingestion path.
+ * Differential suite for the trace-ingestion path.
  *
  * Replays randomized workloads recorded as LZ-compressed SGB3 through
- * a SigilProfiler under decodeThreads {1, 2, 4}, in per-event,
- * asynchronous, and address-sharded dispatch, and requires the
- * serialized profiles and event traces to be bitwise identical to the
- * recording run's own. Also covers checkpoint / resume driven straight
- * from a file (mmap'd input) on compressed traces with a parallel
- * decoder, mmap-vs-stream replay equivalence, rejection of the retired
+ * a SigilProfiler, with per-event and with batched dispatch, and
+ * requires the serialized profiles and event traces to be bitwise
+ * identical to the recording run's own. Also covers checkpoint /
+ * resume driven straight from a file (mmap'd input) on compressed
+ * traces, mmap-vs-stream replay equivalence, rejection of the retired
  * trace formats, and the LZ block codec itself (round-trip,
  * incompressible fallback, bounds-checked rejection of malformed
  * streams).
@@ -189,16 +188,6 @@ anyCompressed(const std::string &trace)
     return false;
 }
 
-/** How replayed events reach the analysis tools. */
-enum class Dispatch { PerEvent, Async, Sharded };
-
-const char *
-dispatchName(Dispatch d)
-{
-    return d == Dispatch::PerEvent ? "per-event"
-           : d == Dispatch::Async  ? "async"
-                                   : "sharded";
-}
 
 struct RunResult
 {
@@ -209,15 +198,10 @@ struct RunResult
 
 /** Zero-copy replay of an in-memory trace; serialize all outputs. */
 RunResult
-replayOnce(const std::string &trace, const TraceParams &p,
-           unsigned decode_threads, Dispatch dispatch)
+replayOnce(const std::string &trace, const TraceParams &p, bool batched)
 {
     vg::GuestConfig gc;
-    gc.decodeThreads = decode_threads;
-    if (dispatch == Dispatch::Async)
-        gc.asyncTools = true;
-    else if (dispatch == Dispatch::Sharded)
-        gc.shardCount = 4;
+    gc.batchEvents = batched;
     vg::Guest g("pardec", gc);
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
@@ -259,19 +243,15 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
     // Guard against the vacuous pass.
     ASSERT_GT(t.profile.size(), 100u);
 
-    for (unsigned threads : {1u, 2u, 4u}) {
-        for (Dispatch d :
-             {Dispatch::PerEvent, Dispatch::Async, Dispatch::Sharded}) {
-            SCOPED_TRACE("decodeThreads=" + std::to_string(threads) +
-                         " dispatch=" + dispatchName(d));
-            RunResult got = replayOnce(t.trace, p, threads, d);
-            EXPECT_TRUE(got.report.ok());
-            EXPECT_TRUE(got.report.sawTrailer);
-            EXPECT_EQ(got.report.eventsDelivered,
-                      got.report.totalEventsRecorded);
-            EXPECT_EQ(t.profile, got.profile);
-            EXPECT_EQ(t.events, got.events);
-        }
+    for (bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "batched" : "per-event");
+        RunResult got = replayOnce(t.trace, p, batched);
+        EXPECT_TRUE(got.report.ok());
+        EXPECT_TRUE(got.report.sawTrailer);
+        EXPECT_EQ(got.report.eventsDelivered,
+                  got.report.totalEventsRecorded);
+        EXPECT_EQ(t.profile, got.profile);
+        EXPECT_EQ(t.events, got.events);
     }
 }
 
@@ -291,9 +271,7 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     std::remove((ckpt_path + ".prev").c_str());
 
     auto run = [&](core::CheckpointStats &st) {
-        vg::GuestConfig gc;
-        gc.decodeThreads = 4;
-        vg::Guest g("pardec", gc);
+        vg::Guest g("pardec");
         core::SigilProfiler prof(profilerConfig(p));
         g.addTool(&prof);
         core::CheckpointConfig cc;
@@ -319,7 +297,7 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     EXPECT_EQ(out1.second, t.events);
 
     // Second run resumes mid-stream from the mmap'd compressed trace
-    // with a parallel decoder and is still bit-identical.
+    // and is still bit-identical.
     core::CheckpointStats st2;
     auto out2 = run(st2);
     EXPECT_TRUE(st2.resumed);
@@ -382,9 +360,7 @@ TEST(MappedTrace, MmapReplayMatchesStreamReplay)
         core::writeProfile(pos, prof.takeProfile());
         ref.profile = pos.str();
     }
-    vg::GuestConfig gc;
-    gc.decodeThreads = 4;
-    vg::Guest g("pardec", gc);
+    vg::Guest g("pardec");
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
     vg::BinaryReplaySession session(mapped.view(), g);

@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild profile-query daemon suite (DESIGN.md §4.8).
+ * sigild profile-query daemon suite (DESIGN.md §4.6).
  *
  * The contract under test: the daemon is a transport, not an analysis
  * — every response must be byte-identical to the in-process rendering
@@ -609,6 +609,22 @@ TEST(ServerDrain, StopIsIdempotentAndJoinsEverything)
     EXPECT_FALSE(s.srv->running());
 }
 
+TEST(ServerStart, RejectsMoreWorkersThanWatchdogSlots)
+{
+    // Each worker takes one stall-watchdog slot; a wider pool must be
+    // refused up front, before anything is bound or spawned.
+    server::ServerConfig cfg = baseConfig();
+    cfg.unixPath = tmpStem("wide") + ".sock";
+    cfg.stallTimeoutMs = 30000;
+    cfg.threads = static_cast<unsigned>(Watchdog::kMaxEntities) + 1;
+    server::ProfileQueryServer srv(cfg);
+    std::string err;
+    EXPECT_FALSE(srv.start(&err));
+    EXPECT_NE(err.find("threads 513"), std::string::npos) << err;
+    EXPECT_FALSE(srv.running());
+    EXPECT_NE(::access(cfg.unixPath.c_str(), F_OK), 0) << "socket was bound";
+}
+
 #ifdef SIGIL_SIGILD_PATH
 // ---------------------------------------------------------------------------
 // The shipped binary: SIGTERM is a graceful drain with exit code 0.
@@ -714,6 +730,10 @@ TEST(ServerBinary, BadFlagValuesExitTwoWithoutServing)
          "--threads wants an integer"},
         {SIGIL_SIGILD_PATH, {"--socket", sock, "--threads", "1025"},
          "--threads wants an integer"},
+        // 513 workers once started, then the 513th died registering
+        // with the 512-slot stall watchdog.
+        {SIGIL_SIGILD_PATH, {"--socket", sock, "--threads", "513"},
+         "--threads wants an integer in 0..512"},
         // 70000 once truncated to port 4464; "abc" once became 0.
         {SIGIL_SIGILD_PATH, {"--socket", sock, "--tcp", "70000"},
          "--tcp wants an integer in 0..65535"},

@@ -7,8 +7,7 @@
  * CRC-valid frames with hostile payloads), salvage recovery from
  * truncation at every byte offset and from any single corrupted block,
  * the deterministic fault-injection sweep ("never crash, always
- * account"), full-report equivalence of the frame-parallel decode
- * pipeline with the serial decoder on damaged inputs, checkpoint/resume
+ * account"), checkpoint/resume
  * bit-identity across the shadow configurations, the shadow-pressure
  * degradation ladder, and the structured line/offset error reporting
  * of the profile and event text parsers. Every sweep runs over traces
@@ -205,17 +204,13 @@ struct ReplayOutcome
     std::string events;
 };
 
-/** Replay a binary trace into a fresh profiler; serialize results.
- *  decode_threads > 1 runs the frame-parallel decode pipeline, which
- *  must be indistinguishable from the serial decoder everywhere. */
+/** Replay a binary trace into a fresh profiler; serialize results. */
 ReplayOutcome
 replayBinary(const std::string &trace, const TraceParams &p,
-             vg::ReplayPolicy policy, unsigned decode_threads = 1)
+             vg::ReplayPolicy policy)
 {
     QuietLogs quiet;
-    vg::GuestConfig gc;
-    gc.decodeThreads = decode_threads;
-    vg::Guest g("robust", gc);
+    vg::Guest g("robust");
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
     std::istringstream is(trace, std::ios::binary);
@@ -232,40 +227,6 @@ replayBinary(const std::string &trace, const TraceParams &p,
         out.events = eos.str();
     }
     return out;
-}
-
-/** Assert every field of two replay reports matches — the parallel
- *  decoder's contract is full-report equality, not just event totals. */
-void
-expectReportsEqual(const vg::ReplayReport &a, const vg::ReplayReport &b)
-{
-    EXPECT_EQ(a.eventsDelivered, b.eventsDelivered);
-    EXPECT_EQ(a.blocksDelivered, b.blocksDelivered);
-    EXPECT_EQ(a.eventsSkipped, b.eventsSkipped);
-    EXPECT_EQ(a.blocksSkipped, b.blocksSkipped);
-    EXPECT_EQ(a.bytesSkipped, b.bytesSkipped);
-    EXPECT_EQ(a.blocksStale, b.blocksStale);
-    EXPECT_EQ(a.resyncs, b.resyncs);
-    EXPECT_EQ(a.leavesDropped, b.leavesDropped);
-    EXPECT_EQ(a.roiDropped, b.roiDropped);
-    EXPECT_EQ(a.functionsSynthesized, b.functionsSynthesized);
-    EXPECT_EQ(a.totalEventsRecorded, b.totalEventsRecorded);
-    EXPECT_EQ(a.sawTrailer, b.sawTrailer);
-    EXPECT_EQ(a.truncated, b.truncated);
-
-    auto same = [](const vg::TraceError &x, const vg::TraceError &y) {
-        EXPECT_EQ(x.cause, y.cause);
-        EXPECT_EQ(x.byteOffset, y.byteOffset);
-        EXPECT_EQ(x.blockIndex, y.blockIndex);
-        EXPECT_EQ(x.line, y.line);
-        EXPECT_EQ(x.detail, y.detail);
-    };
-    ASSERT_EQ(a.errors.size(), b.errors.size());
-    for (std::size_t i = 0; i < a.errors.size(); ++i)
-        same(a.errors[i], b.errors[i]);
-    ASSERT_EQ(a.error.has_value(), b.error.has_value());
-    if (a.error.has_value())
-        same(*a.error, *b.error);
 }
 
 /** Total recorded events per the trailer frame of a trace image. */
@@ -769,96 +730,6 @@ TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
     EXPECT_EQ(r.blocksStale, 1u);
     EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
     EXPECT_EQ(r.resyncs, 0u); // no byte-level damage
-}
-
-// ---------------------------------------------------------------------
-// Parallel decode equivalence under damage: the frame-parallel
-// pipeline (decodeThreads > 1) must produce the exact ReplayReport of
-// the serial decoder on every damaged input — same salvage accounting,
-// same resyncs, same error positions.
-// ---------------------------------------------------------------------
-
-TEST(ParallelDecode, TruncationSweepMatchesSerialExactly)
-{
-    TraceParams p{34, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, 32, 300);
-    ASSERT_GT(recordedTotal(trace), 80u);
-    expectMixedFrames(trace);
-
-    for (std::size_t cut = 0; cut < trace.size(); ++cut) {
-        SCOPED_TRACE("cut at " + std::to_string(cut));
-        std::string t = trace.substr(0, cut);
-        for (vg::ReplayPolicy policy :
-             {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-            QuietLogs quiet;
-            vg::ReplayOptions opts;
-            opts.policy = policy;
-            vg::Guest gs("robust");
-            std::istringstream is(t, std::ios::binary);
-            vg::ReplayReport serial = vg::replayBinaryTrace(is, gs, opts);
-
-            vg::GuestConfig gc;
-            gc.decodeThreads = 4;
-            vg::Guest gp("robust", gc);
-            std::istringstream ip(t, std::ios::binary);
-            vg::ReplayReport parallel =
-                vg::replayBinaryTrace(ip, gp, opts);
-            expectReportsEqual(serial, parallel);
-        }
-    }
-}
-
-TEST(ParallelDecode, CorruptBlockSweepMatchesSerialExactly)
-{
-    TraceParams p{35, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, 64);
-    expectMixedFrames(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-    ASSERT_GT(blocks.size(), 4u);
-
-    for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-        const vg::Sgb2BlockInfo &victim = blocks[vi];
-        if (victim.tag != kTagEvents)
-            continue;
-        SCOPED_TRACE("victim block " + std::to_string(vi));
-        std::string bad = trace;
-        bad[victim.offset + victim.length - 1] ^= 0x01;
-
-        for (vg::ReplayPolicy policy :
-             {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-            ReplayOutcome serial = replayBinary(bad, p, policy, 1);
-            ReplayOutcome parallel = replayBinary(bad, p, policy, 4);
-            expectReportsEqual(serial.report, parallel.report);
-            EXPECT_EQ(serial.profile, parallel.profile);
-            EXPECT_EQ(serial.events, parallel.events);
-        }
-    }
-}
-
-TEST(ParallelDecode, DamagedHeaderResyncMatchesSerialExactly)
-{
-    TraceParams p{36, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, 64);
-    expectMixedFrames(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-    std::size_t vi = 0;
-    for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
-        if (blocks[i].tag == kTagEvents) {
-            vi = i;
-            break;
-        }
-    ASSERT_GT(vi, 0u);
-    std::string bad = trace;
-    bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
-
-    ReplayOutcome serial =
-        replayBinary(bad, p, vg::ReplayPolicy::Salvage, 1);
-    ReplayOutcome parallel =
-        replayBinary(bad, p, vg::ReplayPolicy::Salvage, 4);
-    EXPECT_TRUE(serial.report.ok());
-    EXPECT_GE(serial.report.resyncs, 1u);
-    expectReportsEqual(serial.report, parallel.report);
-    EXPECT_EQ(serial.profile, parallel.profile);
 }
 
 // ---------------------------------------------------------------------
