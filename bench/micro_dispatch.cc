@@ -1,10 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the event transport (google-benchmark): per-event
- * virtual dispatch vs. the batched SoA transport, and SGB3 trace
- * recording and replay. These back the batching design the
- * same way micro_shadow backs the span-oriented shadow path: the batch
- * transport must buy real end-to-end profiling throughput.
+ * virtual dispatch into the analysis tools, SGB3 trace recording and
+ * replay, checkpointed replay, and sigild query throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -32,15 +30,6 @@
 using namespace sigil;
 
 namespace {
-
-/** Dispatch mode selector for the benchmark Args. */
-vg::GuestConfig
-modeConfig(std::int64_t mode)
-{
-    vg::GuestConfig cfg;
-    cfg.batchEvents = mode == 1;
-    return cfg;
-}
 
 /**
  * One deterministic mixed workload: function calls, ops, branches, and
@@ -85,8 +74,8 @@ driveWorkload(vg::Guest &g, int iters)
 
 constexpr int kWorkloadIters = 50000;
 
-/** Counts every event; the cheapest possible analysis. With the
- *  native batch consumer this isolates the transport cost itself. */
+/** Counts every event; the cheapest possible analysis, so the
+ *  benchmark isolates the transport cost itself. */
 class CountingTool : public vg::Tool
 {
   public:
@@ -97,91 +86,41 @@ class CountingTool : public vg::Tool
     void op(std::uint64_t i, std::uint64_t f) override { count_ += i + f; }
     void branch(bool) override { ++count_; }
 
-    void
-    processBatch(const vg::EventBuffer &batch) override
-    {
-        const vg::EventKind *kinds = batch.kinds();
-        const std::uint64_t *as = batch.as();
-        const std::uint64_t *bs = batch.bs();
-        std::uint64_t n = 0;
-        for (std::size_t i = 0, e = batch.size(); i < e; ++i) {
-            switch (kinds[i]) {
-              case vg::EventKind::kRead:
-              case vg::EventKind::kWrite:
-                n += bs[i];
-                break;
-              case vg::EventKind::kOp:
-                n += as[i] + bs[i];
-                break;
-              case vg::EventKind::kEnter:
-              case vg::EventKind::kLeave:
-              case vg::EventKind::kBranch:
-                ++n;
-                break;
-              default:
-                break;
-            }
-        }
-        count_ += n;
-    }
-
     std::uint64_t count() const { return count_; }
 
   private:
     std::uint64_t count_ = 0;
 };
 
-/** Same counters through the default adapter (no processBatch
- *  override): measures the compatibility path, which pays for the
- *  append AND the per-event replay. */
-class AdapterCountingTool : public CountingTool
-{
-  public:
-    void
-    processBatch(const vg::EventBuffer &batch) override
-    {
-        batch.replayTo(*this);
-    }
-};
-
-/**
- * Transport overhead alone: per-event virtuals vs. the batch lanes.
- * Args: 0 = per-event, 1 = batched native, 3 = batched through the
- * default replay adapter.
- */
+/** Transport overhead alone: one virtual call per event. */
 void
 BM_DispatchCountingTool(benchmark::State &state)
 {
-    bool adapter = state.range(0) == 3;
     for (auto _ : state) {
-        vg::Guest g("bench", modeConfig(adapter ? 1 : state.range(0)));
-        CountingTool native;
-        AdapterCountingTool compat;
-        vg::Tool *tool = adapter ? static_cast<vg::Tool *>(&compat)
-                                 : static_cast<vg::Tool *>(&native);
-        g.addTool(tool);
+        vg::Guest g("bench");
+        CountingTool tool;
+        g.addTool(&tool);
         driveWorkload(g, kWorkloadIters);
-        benchmark::DoNotOptimize(adapter ? compat.count()
-                                         : native.count());
+        benchmark::DoNotOptimize(tool.count());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_DispatchCountingTool)->Arg(0)->Arg(1)->Arg(3);
+BENCHMARK(BM_DispatchCountingTool);
 
 /**
- * End-to-end Sigil profiling throughput under each dispatch mode.
- * Args: {mode, granularity shift} — shift 6 is the paper's
- * line-granularity mode, where light per-access shadow work exposes
- * the transport share of the per-event cost.
+ * End-to-end Sigil profiling throughput. Arg: granularity shift —
+ * shift 6 is the paper's line-granularity mode, where light
+ * per-access shadow work exposes the transport share of the
+ * per-event cost.
  */
 void
 BM_SigilWorkload(benchmark::State &state)
 {
     core::SigilConfig cfg;
-    cfg.granularityShift = static_cast<unsigned>(state.range(1));
+    cfg.granularityShift = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        vg::Guest g("bench", modeConfig(state.range(0)));
+        vg::Guest g("bench");
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
         driveWorkload(g, kWorkloadIters);
@@ -190,15 +129,14 @@ BM_SigilWorkload(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_SigilWorkload)
-    ->ArgsProduct({{0, 1}, {0, 6}});
+BENCHMARK(BM_SigilWorkload)->Arg(0)->Arg(6);
 
-/** Full stack (Sigil + cg cache/branch simulation) per dispatch mode. */
+/** Full stack: Sigil plus cg cache/branch simulation on one guest. */
 void
 BM_FullStackWorkload(benchmark::State &state)
 {
     for (auto _ : state) {
-        vg::Guest g("bench", modeConfig(state.range(0)));
+        vg::Guest g("bench");
         core::SigilProfiler prof;
         cg::CgTool cg_tool;
         g.addTool(&prof);
@@ -209,7 +147,7 @@ BM_FullStackWorkload(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_FullStackWorkload)->Arg(0)->Arg(1);
+BENCHMARK(BM_FullStackWorkload);
 
 /** The benchmark workload recorded once as an SGB3 trace. */
 const std::string &
@@ -311,18 +249,17 @@ BENCHMARK(BM_TraceReplayParse);
 
 /**
  * Trace replay feeding a Sigil profiler — the "collect once, analyze
- * many times" loop end to end. Args: {batched guest?, granularity
- * shift}.
+ * many times" loop end to end. Arg: granularity shift.
  */
 void
 BM_TraceReplayProfiled(benchmark::State &state)
 {
     const std::string &trace = recordedTrace();
     core::SigilConfig cfg;
-    cfg.granularityShift = static_cast<unsigned>(state.range(1));
+    cfg.granularityShift = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         std::istringstream is(trace, std::ios::binary);
-        vg::Guest g("bench", modeConfig(state.range(0)));
+        vg::Guest g("bench");
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
         vg::replayBinaryTrace(is, g);
@@ -331,11 +268,11 @@ BM_TraceReplayProfiled(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_TraceReplayProfiled)->ArgsProduct({{0, 1}, {0, 6}});
+BENCHMARK(BM_TraceReplayProfiled)->Arg(0)->Arg(6);
 
 /**
  * Checkpointed replay smoke benchmark: the full SGB3 + profiler replay
- * with periodic state snapshots, against BM_TraceReplayProfiled/1/0
+ * with periodic state snapshots, against BM_TraceReplayProfiled/0
  * as the no-checkpoint baseline. Arg: checkpoint interval in blocks.
  */
 /** SGB3 trace with finer-grained blocks than the default, so a
@@ -370,8 +307,9 @@ BM_CheckpointedReplay(benchmark::State &state)
         std::remove(path.c_str());
         std::remove((path + ".prev").c_str());
         std::istringstream is(trace, std::ios::binary);
-        vg::Guest g("bench", modeConfig(1));
+        vg::Guest g("bench");
         core::SigilProfiler prof;
+        g.addTool(&prof);
         core::CheckpointStats st;
         core::replayWithCheckpoints(is, g, prof, {}, ck, &st);
         ckpt_bytes = st.lastCheckpointBytes;
@@ -407,6 +345,7 @@ BM_CheckpointResume(benchmark::State &state)
         std::istringstream is(trace, std::ios::binary);
         vg::Guest g("bench");
         core::SigilProfiler prof;
+        g.addTool(&prof);
         core::CheckpointStats st;
         core::replayWithCheckpoints(is, g, prof, {}, ck, &st);
         resumed = st.resumed;

@@ -94,7 +94,9 @@ class State
         : max_(iters), args_(std::move(args))
     {}
 
-    struct Value
+    /** What `for (auto _ : state)` binds; [[maybe_unused]] keeps the
+     *  never-read `_` out of -Wunused-but-set-variable. */
+    struct [[maybe_unused]] Value
     {};
 
     class iterator

@@ -4,6 +4,12 @@
 # Future PRs compare against these files to keep the perf trajectory
 # honest (see bench/compare_bench.py).
 #
+# Each binary runs RUNS (5) times and bench/median_bench.py merges the
+# runs into one file: times and rates are the per-benchmark medians,
+# and the JSON context records "runs". One run is not a baseline on a
+# shared host, where back-to-back runs of one build can differ by tens
+# of percent.
+#
 # Benchmarks are configured and built Release (-O2, NDEBUG): numbers
 # from unoptimized builds are not comparable and must never become
 # baselines. The script refuses a build tree configured Debug, and
@@ -59,28 +65,38 @@ else
 fi
 cmake --build "$build_dir" --target micro_shadow micro_dispatch -j
 
+RUNS=5
+
 run_bench() {
     bin=$1
     out=$2
     shift 2
-    tmp="$out.tmp"
-    "$build_dir/bench/$bin" \
-        --benchmark_format=json \
-        --benchmark_out="$tmp" \
-        --benchmark_out_format=json \
-        "$@"
-    if grep -q '"library_build_type": *"debug"' "$tmp"; then
-        rm -f "$tmp"
-        echo "error: the linked benchmark library is a debug build" \
-             "(\"library_build_type\": \"debug\"); refusing to record" \
-             "$out." >&2
-        echo "       Reconfigure without SIGIL_SYSTEM_BENCHMARK (the" \
-             "bundled minibench shim inherits the project's Release" \
-             "flags) or install a Release google-benchmark." >&2
-        exit 1
-    fi
-    mv "$tmp" "$out"
-    echo "wrote $out"
+    runs=""
+    i=1
+    while [ "$i" -le "$RUNS" ]; do
+        tmp="$out.run$i.tmp"
+        runs="$runs $tmp"
+        echo "$bin: run $i of $RUNS"
+        "$build_dir/bench/$bin" \
+            --benchmark_format=json \
+            --benchmark_out="$tmp" \
+            --benchmark_out_format=json \
+            "$@" > /dev/null
+        if grep -q '"library_build_type": *"debug"' "$tmp"; then
+            rm -f $runs
+            echo "error: the linked benchmark library is a debug build" \
+                 "(\"library_build_type\": \"debug\"); refusing to" \
+                 "record $out." >&2
+            echo "       Reconfigure without SIGIL_SYSTEM_BENCHMARK (the" \
+                 "bundled minibench shim inherits the project's Release" \
+                 "flags) or install a Release google-benchmark." >&2
+            exit 1
+        fi
+        i=$((i + 1))
+    done
+    python3 "$repo_root/bench/median_bench.py" "$out" $runs
+    rm -f $runs
+    echo "wrote $out (median of $RUNS runs)"
 }
 
 run_bench micro_shadow "$repo_root/BENCH_shadow.json" "$@"

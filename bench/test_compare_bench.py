@@ -17,7 +17,10 @@ diagnostics:
     suite diagnostic, and BM_NativeReadDispatch stays unwatched,
   - the removed parallel-engine sweeps (BM_ShardedReplay/*,
     BM_ParallelDecode/*) are unwatched: a baseline that still carries
-    them compares cleanly against a fresh run without them.
+    them compares cleanly against a fresh run without them,
+  - median_bench.py merges five runs into their per-benchmark median
+    times and rates, keeps the largest other counter, records
+    "runs": 5, and refuses runs that cover different benchmarks.
 
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
@@ -31,6 +34,8 @@ import tempfile
 
 COMPARE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "compare_bench.py")
+MEDIAN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "median_bench.py")
 
 CONTEXT = {
     "num_cpus": 4,
@@ -57,9 +62,9 @@ def write(tmpdir, fname, document):
     return path
 
 
-def run(*argv):
+def run(*argv, script=COMPARE):
     proc = subprocess.run(
-        [sys.executable, COMPARE, *argv],
+        [sys.executable, script, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -174,6 +179,50 @@ def main():
               rc == 0 and "BM_FullReadDispatch [items_per_second]" in out
               and "BM_ShardedReplay" not in out
               and "BM_ParallelDecode" not in out, out)
+
+        # Median baseline: five runs of two benchmarks, run order
+        # shuffled so neither the first nor the last run is the median
+        # and the mean (3.8) differs from it.
+        times = [9.0, 1.0, 3.0, 2.0, 4.0]
+        run_paths = []
+        for i, t in enumerate(times):
+            run_paths.append(write(tmp, f"run{i}.json", doc([
+                bench("BM_FullReadDispatch", real_time=t, cpu_time=t * 2,
+                      items_per_second=1e7 / t, iterations=100 + i),
+                bench("BM_TraceRecordAsync/1", real_time=10 * t,
+                      cpu_time=10 * t, queue_depth_peak=i % 3,
+                      time_unit="ns"),
+            ])))
+        merged_path = os.path.join(tmp, "merged.json")
+        rc, out = run(merged_path, *run_paths, script=MEDIAN)
+        merged = {}
+        if rc == 0:
+            with open(merged_path) as f:
+                merged = json.load(f)
+        rows = {b["name"]: b for b in merged.get("benchmarks", [])}
+        read = rows.get("BM_FullReadDispatch", {})
+        rec = rows.get("BM_TraceRecordAsync/1", {})
+        check("median merge picks each benchmark's median run",
+              rc == 0 and read.get("real_time") == 3.0
+              and read.get("cpu_time") == 6.0
+              and abs(read.get("items_per_second", 0) - 1e7 / 3) < 1
+              and rec.get("real_time") == 30.0
+              and rec.get("time_unit") == "ns", out + json.dumps(merged))
+        check("median merge keeps the largest other counter",
+              rec.get("queue_depth_peak") == 2
+              and read.get("iterations") == 104, json.dumps(merged))
+        check("median merge records the run count",
+              merged.get("context", {}).get("runs") == 5
+              and merged.get("context", {}).get("num_cpus") == 4,
+              json.dumps(merged))
+        rc, out = run(merged_path, merged_path, script=COMPARE)
+        check("merged baseline self-compares", rc == 0, out)
+        short = write(tmp, "short.json", doc([
+            bench("BM_FullReadDispatch", real_time=1.0, cpu_time=1.0)]))
+        rc, out = run(merged_path, run_paths[0], short, script=MEDIAN)
+        check("median merge refuses runs with different benchmarks",
+              rc != 0 and "BM_TraceRecordAsync/1" in out
+              and "Traceback" not in out, out)
 
     if failures:
         print(f"\n{len(failures)} case(s) failed: {failures}")

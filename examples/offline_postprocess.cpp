@@ -126,7 +126,6 @@ main(int argc, char **argv)
             fatal("cannot write to %s: %s (create the directory first)",
                   trace_path.c_str(), durable.errorDetail().c_str());
         vg::GuestConfig gcfg;
-        gcfg.batchEvents = true;
         gcfg.asyncWriter = true;
         vg::Guest guest(w->name, gcfg);
         vg::BinaryTraceRecorder recorder(durable.stream());
@@ -209,9 +208,7 @@ main(int argc, char **argv)
     // report says exactly what was recovered and whether the trace
     // ends in a clean-shutdown trailer.
     {
-        vg::GuestConfig gcfg;
-        gcfg.batchEvents = true;
-        vg::Guest guest(w->name, gcfg);
+        vg::Guest guest(w->name);
         core::SigilConfig cfg;
         cfg.granularityShift = 6; // line mode this time
         core::SigilProfiler profiler(cfg);

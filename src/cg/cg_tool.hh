@@ -58,46 +58,19 @@ class CgTool : public vg::Tool
     void branch(bool taken) override;
     void roi(bool active) override;
 
-    /**
-     * Native batch consumer: drives the cache and branch simulators
-     * straight from the buffer's lanes, using each record's ambient
-     * context instead of querying the guest per event.
-     */
-    void processBatch(const vg::EventBuffer &batch) override;
-
     /** The instruction-side first-level cache. */
     const CacheLevel &i1() const { return i1_; }
 
-    /**
-     * Self counters of one context (zeroes if never seen).
-     *
-     * With batched dispatch (GuestConfig::batchEvents) call
-     * Guest::sync() first — the tool lags the guest until the fill
-     * buffer flushes. Debug builds assert that no events are
-     * pending. (Guest::finish() syncs, so post-run reads
-     * need nothing extra.)
-     */
+    /** Self counters of one context (zeroes if never seen). */
     const CgCounters &counters(vg::ContextId ctx) const;
 
     const CacheSim &caches() const { return caches_; }
 
-    /**
-     * Snapshot the profile, with names and inclusive costs filled in.
-     * Requires Guest::sync() first under batched dispatch (see
-     * counters()); debug builds assert that no events are pending.
-     */
+    /** Snapshot the profile, with names and inclusive costs filled in. */
     CgProfile takeProfile() const;
 
   private:
     CgCounters &row(vg::ContextId ctx);
-
-    /** @name Event bodies with explicit ambient context */
-    /// @{
-    void readAt(vg::Addr addr, unsigned size, vg::ContextId ctx);
-    void writeAt(vg::Addr addr, unsigned size, vg::ContextId ctx);
-    void opAt(std::uint64_t iops, std::uint64_t flops, vg::ContextId ctx);
-    void branchAt(bool taken, vg::ContextId ctx);
-    /// @}
 
     /**
      * Fetch instruction bytes for the current context from its

@@ -94,28 +94,10 @@ class SigilProfiler : public vg::Tool
     void roi(bool active) override;
     void finish() override;
 
-    /**
-     * Native batch consumer: reads the buffer's lanes directly instead
-     * of going through the per-event virtuals and the guest's
-     * ambient-state accessors. Produces bit-identical profiles.
-     */
-    void processBatch(const vg::EventBuffer &batch) override;
-
-    /**
-     * Aggregates of one context (zeroes if never seen).
-     *
-     * With batched dispatch (GuestConfig::batchEvents) call
-     * Guest::sync() first — the profiler lags the guest until the
-     * fill buffer flushes. Debug builds assert that no events are
-     * pending.
-     */
+    /** Aggregates of one context (zeroes if never seen). */
     const CommAggregates &aggregates(vg::ContextId ctx) const;
 
-    /**
-     * Snapshot the aggregate profile (names, edges, breakdowns).
-     * Requires Guest::sync() first under batched dispatch (see
-     * aggregates()); debug builds assert that no events are pending.
-     */
+    /** Snapshot the aggregate profile (names, edges, breakdowns). */
     SigilProfile takeProfile() const;
 
     /** @name Checkpointing
@@ -172,24 +154,6 @@ class SigilProfiler : public vg::Tool
     {
         return tables_.row(ctx);
     }
-
-    /** @name Event bodies with explicit ambient state
-     *
-     * The per-event virtuals query the guest for the ambient state
-     * (current context, call, virtual time, depth) and forward here;
-     * processBatch() forwards the buffer's ambient lanes directly.
-     */
-    /// @{
-    void readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
-                    vg::CallNum call, vg::Tick now);
-    void writeAccess(vg::Addr addr, unsigned size, vg::ContextId ctx);
-    void opAt(std::uint64_t iops, std::uint64_t flops, vg::ContextId ctx);
-    void leaveAt(vg::ContextId resumed_ctx, vg::CallNum resumed_call,
-                 std::size_t depth);
-    void threadSwitchAt(vg::ThreadId tid, vg::ContextId ctx,
-                        vg::CallNum call);
-    void barrierAt(vg::ContextId ctx, vg::CallNum call);
-    /// @}
 
     struct SegState;
 

@@ -37,9 +37,7 @@ ProfileCatalog::load(const std::string &name, const std::string &path)
 
     // The replay runs outside the catalog lock: loading a big trace
     // must not stall queries against already-resident profiles.
-    vg::GuestConfig gcfg;
-    gcfg.batchEvents = true;
-    vg::Guest guest(name, gcfg);
+    vg::Guest guest(name);
     core::SigilProfiler profiler{core::SigilConfig{}};
     guest.addTool(&profiler);
 

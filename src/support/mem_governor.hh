@@ -3,16 +3,14 @@
  * Process-wide memory-budget governor.
  *
  * Every subsystem that holds a non-trivial amount of heap — shadow
- * chunks (hot units, lazy cold arrays, stamp tables), the event
- * buffer, sigild's profile catalog — charges its allocations against
- * one MemoryGovernor instance (the Guest's, or the server's).
+ * chunks (hot units, lazy cold arrays, stamp tables) and sigild's
+ * profile catalog — charges its allocations against one
+ * MemoryGovernor instance (the Guest's, or the server's).
  * The governor itself never frees anything: it is a ledger plus a
  * predicate. Subsystems that *can* shed memory (the shadow's chunk
  * LRU) consult overBudget() before growing and evict until the new
- * allocation fits; subsystems with fixed footprints (buffers) only
- * account, so the eviction pressure lands where it is cheapest
- * to shed. When nothing evictable remains and the budget is still
- * exceeded, the shadow's pressure handler drives the profiler's
+ * allocation fits. When nothing evictable remains and the budget is
+ * still exceeded, the shadow's pressure handler drives the profiler's
  * never-descending degradation ladder instead of OOM-ing.
  *
  * A budget of 0 (the default) disables enforcement: the ledger still
@@ -38,13 +36,12 @@ namespace sigil {
 
 /** Accounting categories, one per governed subsystem. */
 enum class MemCategory : unsigned {
-    Shadow = 0,       ///< shadow chunks: hot units + cold arrays + stamps
-    EventBuffers = 1, ///< guest-side SoA event batches
-    ProfileCatalog = 2, ///< daemon-resident profiles (sigild catalog)
-    kCount = 3,
+    Shadow = 0,         ///< shadow chunks: hot units + cold arrays + stamps
+    ProfileCatalog = 1, ///< daemon-resident profiles (sigild catalog)
+    kCount = 2,
 };
 
-/** Human-readable category name ("shadow", "event-buffers", ...). */
+/** Human-readable category name ("shadow", "profile-catalog"). */
 const char *memCategoryName(MemCategory cat);
 
 class MemoryGovernor

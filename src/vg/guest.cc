@@ -22,8 +22,6 @@ GuestConfig::validate() const
                      std::string message) -> std::optional<GuestConfigError> {
         return GuestConfigError{knob, std::move(message)};
     };
-    if (eventBufferEvents == 0)
-        return reject("eventBufferEvents", "must be at least 1");
     if (asyncWriter && writerQueueFrames < 2) {
         char detail[96];
         std::snprintf(detail, sizeof(detail),
@@ -42,27 +40,12 @@ Guest::Guest(std::string program_name, const GuestConfig &config)
         fatal("%s", err->describe().c_str());
     governor_ =
         std::make_shared<sigil::MemoryGovernor>(config.memoryBudgetBytes);
-    if (config.stallTimeoutMs > 0)
+    // The async trace writer is the only thread the watchdog watches;
+    // without it a monitor thread would run for nothing.
+    if (config.stallTimeoutMs > 0 && config.asyncWriter)
         watchdog_ = std::make_shared<sigil::Watchdog>(config.stallTimeoutMs);
     inputFn_ = functions_.intern("*input*");
     threads_.push_back(ThreadCtx{{}, kStackBase});
-    batching_ = config.batchEvents;
-    if (batching_) {
-        fillBuf_ = std::make_unique<EventBuffer>(config.eventBufferEvents);
-        bufferBytesCharged_ =
-            EventBuffer::footprintBytes(config.eventBufferEvents);
-        governor_->charge(sigil::MemCategory::EventBuffers,
-                          bufferBytesCharged_);
-    }
-}
-
-Guest::~Guest()
-{
-    // Unsynced buffered events are dropped, not dispatched: the tools
-    // (owned by the caller) may already be destroyed by now. finish()
-    // is the orderly path.
-    governor_->release(sigil::MemCategory::EventBuffers,
-                       bufferBytesCharged_);
 }
 
 void
@@ -75,39 +58,8 @@ Guest::addTool(Tool *tool)
 }
 
 void
-Guest::appendEvent(EventKind kind, std::uint64_t a, std::uint64_t b)
-{
-    const ThreadCtx &t = thread();
-    ContextId ctx = kInvalidContext;
-    CallNum call = 0;
-    if (!t.frames.empty()) {
-        const Frame &f = t.frames.back();
-        ctx = f.ctx;
-        call = f.call;
-    }
-    fillBuf_->append(kind, a, b, ctx, call, counters_.instructions(),
-                     static_cast<std::uint32_t>(t.frames.size()));
-    if (fillBuf_->full())
-        flushFill();
-}
-
-void
-Guest::flushFill()
-{
-    if (fillBuf_->empty())
-        return;
-    for (Tool *t : tools_)
-        t->processBatch(*fillBuf_);
-    fillBuf_->clear();
-}
-
-void
 Guest::sync()
 {
-    if (batching_)
-        flushFill();
-    // Tools may own queues of their own (the async trace writer's)
-    // regardless of the transport mode; give each a chance to drain.
     for (Tool *t : tools_)
         t->sync();
 }
@@ -124,14 +76,8 @@ Guest::enter(FunctionId fn)
     CallNum call = nextCall_++;
     t.frames.push_back(Frame{ctx, call, t.stackPtr});
     ++counters_.calls;
-    if (batching_) {
-        appendEvent(EventKind::kEnter,
-                    static_cast<std::uint64_t>(
-                        static_cast<std::uint32_t>(fn)),
-                    0);
-        return;
-    }
-    dispatchEnter(ctx, call);
+    for (Tool *tool : tools_)
+        tool->fnEnter(ctx, call);
 }
 
 void
@@ -143,24 +89,13 @@ Guest::leave()
     Frame f = t.frames.back();
     t.frames.pop_back();
     t.stackPtr = f.stackWatermark;
-    if (batching_) {
-        appendEvent(EventKind::kLeave,
-                    static_cast<std::uint64_t>(
-                        static_cast<std::uint32_t>(f.ctx)),
-                    f.call);
-        return;
-    }
-    dispatchLeave(f.ctx, f.call);
+    for (Tool *tool : tools_)
+        tool->fnLeave(f.ctx, f.call);
 }
 
 ContextId
 Guest::currentContext() const
 {
-    if (const DispatchCursor *c = activeDispatchCursor()) {
-        if (c->ctx == kInvalidContext)
-            panic("Guest::currentContext with empty call stack");
-        return c->ctx;
-    }
     if (thread().frames.empty())
         panic("Guest::currentContext with empty call stack");
     return thread().frames.back().ctx;
@@ -169,11 +104,6 @@ Guest::currentContext() const
 CallNum
 Guest::currentCall() const
 {
-    if (const DispatchCursor *c = activeDispatchCursor()) {
-        if (c->ctx == kInvalidContext)
-            panic("Guest::currentCall with empty call stack");
-        return c->call;
-    }
     if (thread().frames.empty())
         panic("Guest::currentCall with empty call stack");
     return thread().frames.back().call;
@@ -236,10 +166,6 @@ Guest::read(Addr addr, unsigned size)
     counters_.readBytes += size;
     if (thread().frames.empty())
         panic("Guest::read outside any function");
-    if (batching_) {
-        appendEvent(EventKind::kRead, addr, size);
-        return;
-    }
     for (Tool *t : tools_)
         t->memRead(addr, size);
 }
@@ -251,10 +177,6 @@ Guest::write(Addr addr, unsigned size)
     counters_.writeBytes += size;
     if (thread().frames.empty())
         panic("Guest::write outside any function");
-    if (batching_) {
-        appendEvent(EventKind::kWrite, addr, size);
-        return;
-    }
     for (Tool *t : tools_)
         t->memWrite(addr, size);
 }
@@ -263,10 +185,6 @@ void
 Guest::iop(std::uint64_t n)
 {
     counters_.iops += n;
-    if (batching_) {
-        appendEvent(EventKind::kOp, n, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->op(n, 0);
 }
@@ -275,10 +193,6 @@ void
 Guest::flop(std::uint64_t n)
 {
     counters_.flops += n;
-    if (batching_) {
-        appendEvent(EventKind::kOp, 0, n);
-        return;
-    }
     for (Tool *t : tools_)
         t->op(0, n);
 }
@@ -287,10 +201,6 @@ void
 Guest::branch(bool taken)
 {
     ++counters_.branches;
-    if (batching_) {
-        appendEvent(EventKind::kBranch, taken ? 1 : 0, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->branch(taken);
 }
@@ -355,10 +265,6 @@ Guest::switchThread(ThreadId tid)
     if (tid == currentTid_)
         return;
     currentTid_ = tid;
-    if (batching_) {
-        appendEvent(EventKind::kThreadSwitch, tid, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->threadSwitch(tid);
 }
@@ -369,10 +275,6 @@ Guest::roiBegin()
     if (roiActive_)
         panic("Guest::roiBegin: ROI already active (no nesting)");
     roiActive_ = true;
-    if (batching_) {
-        appendEvent(EventKind::kRoi, 1, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->roi(true);
 }
@@ -383,10 +285,6 @@ Guest::roiEnd()
     if (!roiActive_)
         panic("Guest::roiEnd without roiBegin");
     roiActive_ = false;
-    if (batching_) {
-        appendEvent(EventKind::kRoi, 0, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->roi(false);
 }
@@ -396,10 +294,6 @@ Guest::barrier()
 {
     if (finished_)
         panic("Guest::barrier after finish()");
-    if (batching_) {
-        appendEvent(EventKind::kBarrier, 0, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->barrier();
 }
@@ -422,12 +316,6 @@ Guest::finish()
     sync();
     for (Tool *t : tools_)
         t->finish();
-}
-
-bool
-Guest::eventsPendingDispatch() const
-{
-    return batching_ && !fillBuf_->empty();
 }
 
 void
@@ -489,8 +377,6 @@ Guest::saveState(ByteSink &sink)
 bool
 Guest::restoreState(ByteSource &src)
 {
-    if (batching_)
-        return false;
     if (src.u8() != 1)
         return false;
     if (src.str() != programName_)
@@ -583,20 +469,6 @@ Guest::restoreState(ByteSource &src)
     counters_.branches = src.u64();
     counters_.calls = src.u64();
     return src.ok();
-}
-
-void
-Guest::dispatchEnter(ContextId ctx, CallNum call)
-{
-    for (Tool *t : tools_)
-        t->fnEnter(ctx, call);
-}
-
-void
-Guest::dispatchLeave(ContextId ctx, CallNum call)
-{
-    for (Tool *t : tools_)
-        t->fnLeave(ctx, call);
 }
 
 } // namespace sigil::vg

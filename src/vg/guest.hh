@@ -27,7 +27,6 @@
 
 #include "support/serial.hh"
 #include "vg/context_tree.hh"
-#include "vg/event_buffer.hh"
 #include "vg/function_registry.hh"
 #include "vg/tool.hh"
 #include "vg/types.hh"
@@ -62,7 +61,7 @@ struct GuestCounters
 /** One rejected GuestConfig knob (see GuestConfig::validate()). */
 struct GuestConfigError
 {
-    /** Name of the offending knob, e.g. "eventBufferEvents". */
+    /** Name of the offending knob, e.g. "writerQueueFrames". */
     std::string knob;
     /** What is wrong with it. */
     std::string message;
@@ -82,19 +81,6 @@ struct GuestConfig
     unsigned maxContextDepth = 0;
 
     /**
-     * Batched event transport: buffer events into a structure-of-arrays
-     * EventBuffer and dispatch them to tools one full buffer at a time
-     * (Tool::processBatch) instead of one virtual call per event.
-     * Observably identical to per-event dispatch, except that tool
-     * state lags the guest until the buffer flushes — call sync()
-     * before querying a tool mid-run.
-     */
-    bool batchEvents = false;
-
-    /** Capacity of each event buffer, in records. */
-    std::size_t eventBufferEvents = 4096;
-
-    /**
      * Background trace writer: a BinaryTraceRecorder attached to this
      * guest moves frame serialization — LZ compression and CRC32C —
      * onto a dedicated writer thread fed by a bounded
@@ -112,8 +98,7 @@ struct GuestConfig
     /**
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
-     * shadow chunks (hot + cold + stamp tables) and the event buffer.
-     * When an allocation
+     * shadow chunks (hot + cold + stamp tables). When an allocation
      * would exceed the budget the shadow evicts least-recently-used
      * chunks first and then escalates to the profiler's
      * never-descending degradation ladder instead of OOM-ing. 0 (the
@@ -127,7 +112,8 @@ struct GuestConfig
      * subsystems spawn: the background trace writer. A writer busy
      * without progress for longer than this fails the run with a
      * structured diagnostic report. 0 (the default) disables the
-     * watchdog.
+     * watchdog, and so does a guest without asyncWriter: with no
+     * writer thread there is nothing to watch.
      */
     unsigned stallTimeoutMs = 0;
 
@@ -151,8 +137,6 @@ class Guest
 
     Guest(std::string program_name, const GuestConfig &config);
 
-    ~Guest();
-
     Guest(const Guest &) = delete;
     Guest &operator=(const Guest &) = delete;
 
@@ -172,8 +156,8 @@ class Guest
     sigil::MemoryGovernor *governor() const { return governor_.get(); }
 
     /**
-     * The guest's stall watchdog, or nullptr when stallTimeoutMs is 0.
-     * Worker threads of attached subsystems register here.
+     * The guest's stall watchdog, or nullptr unless both stallTimeoutMs
+     * and asyncWriter are set. The async trace writer registers here.
      */
     sigil::Watchdog *watchdog() const { return watchdog_.get(); }
 
@@ -224,13 +208,7 @@ class Guest
     CallNum currentCall() const;
 
     /** Current call depth (of the current thread). */
-    std::size_t
-    callDepth() const
-    {
-        if (const DispatchCursor *c = activeDispatchCursor())
-            return c->depth;
-        return thread().frames.size();
-    }
+    std::size_t callDepth() const { return thread().frames.size(); }
 
     /// @}
 
@@ -389,31 +367,15 @@ class Guest
     void finish();
 
     /**
-     * Flush buffered events to the tools, then sync() every tool so
-     * tool-internal queues (the async trace writer's) drain too. After
-     * sync() every tool has observed every event emitted so far;
-     * required before querying tool state mid-run in batched mode.
-     * finish() syncs implicitly.
+     * sync() every tool (see Tool::sync()) so a tool that owns a queue
+     * can drain it. finish() and saveState() sync implicitly.
      */
     void sync();
 
     /** Virtual time in retired operations. */
-    Tick
-    now() const
-    {
-        if (const DispatchCursor *c = activeDispatchCursor())
-            return c->tick;
-        return counters_.instructions();
-    }
+    Tick now() const { return counters_.instructions(); }
 
     const GuestCounters &counters() const { return counters_; }
-
-    /**
-     * True while buffered events have not yet reached every tool
-     * (batched mode). Tool state queried while this is true is
-     * stale; call sync() first. Always false in per-event mode.
-     */
-    bool eventsPendingDispatch() const;
 
     /** @name Checkpointing
      *
@@ -427,16 +389,15 @@ class Guest
      */
     /// @{
 
-    /** Serialize the full guest state. sync()s first in batched mode. */
+    /** Serialize the full guest state. sync()s the tools first. */
     void saveState(ByteSink &sink);
 
     /**
      * Restore state saved by saveState() into a freshly constructed
      * guest with the same program name and no events delivered yet
      * (tools may be attached; their state is restored separately).
-     * Returns false — leaving the guest unusable — on corrupt input,
-     * an id mismatch, or a batching guest (checkpoint replay uses
-     * per-event dispatch).
+     * Returns false — leaving the guest unusable — on corrupt input or
+     * an id mismatch.
      */
     bool restoreState(ByteSource &src);
 
@@ -459,20 +420,6 @@ class Guest
     ThreadCtx &thread() { return threads_[currentTid_]; }
     const ThreadCtx &thread() const { return threads_[currentTid_]; }
 
-    void dispatchEnter(ContextId ctx, CallNum call);
-    void dispatchLeave(ContextId ctx, CallNum call);
-
-    /** @name Batched transport */
-    /// @{
-
-    /** Append one record with the current ambient state. */
-    void appendEvent(EventKind kind, std::uint64_t a, std::uint64_t b);
-
-    /** Run the fill buffer through every tool, in attach order. */
-    void flushFill();
-
-    /// @}
-
     std::string programName_;
     GuestConfig config_;
     FunctionRegistry functions_;
@@ -494,11 +441,6 @@ class Guest
      *  governorShared()) keep them alive. */
     std::shared_ptr<sigil::MemoryGovernor> governor_;
     std::shared_ptr<sigil::Watchdog> watchdog_;
-    /** Event-buffer bytes charged to the governor (released in dtor). */
-    std::size_t bufferBytesCharged_ = 0;
-
-    bool batching_ = false;
-    std::unique_ptr<EventBuffer> fillBuf_;
 
     GuestCounters counters_;
 };

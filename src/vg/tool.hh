@@ -5,7 +5,12 @@
  * Plays the role of Valgrind's tool API: the Guest dispatches a stream of
  * primitive events (function enter/leave, memory reads/writes, retired
  * operations, branches) to every attached tool. Tools query the Guest for
- * ambient state (current context, call number, virtual time).
+ * ambient state (current context, call number, call depth, virtual
+ * time). Each event reaches every tool, in attach order, on the guest
+ * thread before the guest moves on, so inside a callback those
+ * accessors describe the state right after that event: in fnLeave the
+ * popped frame is gone and the resumed caller is current, and in
+ * threadSwitch the incoming thread is.
  */
 
 #ifndef SIGIL_VG_TOOL_HH
@@ -17,7 +22,6 @@
 
 namespace sigil::vg {
 
-class EventBuffer;
 class Guest;
 
 /** Base class for instrumentation tools. */
@@ -28,16 +32,6 @@ class Tool
 
     /** Called once when the tool is attached to a guest. */
     virtual void attach(const Guest &guest) { guest_ = &guest; }
-
-    /**
-     * A batch of buffered events (batched-transport mode). The default
-     * implementation replays the batch through the per-event virtuals
-     * below, with the guest's ambient-state accessors answering from
-     * the batch's dispatch cursor, so tools that never heard of
-     * batching behave identically. Hot tools override this and consume
-     * the buffer's lanes directly.
-     */
-    virtual void processBatch(const EventBuffer &batch);
 
     /** A function was entered, creating context ctx with call number. */
     virtual void fnEnter(ContextId ctx, CallNum call)
@@ -94,10 +88,11 @@ class Tool
     virtual void roi(bool active) { (void)active; }
 
     /**
-     * Drain any queue the tool owns (e.g. the async trace writer's
-     * frame queue) so that its output reflects every event delivered
-     * so far. Called by Guest::sync() and Guest::finish(); tools
-     * without internal concurrency ignore it.
+     * Drain any queue the tool owns so that its output reflects every
+     * event delivered so far. Called by Guest::sync() and
+     * Guest::finish(). No bundled tool needs it: their state is
+     * current after every callback, and the async trace writer drains
+     * in BinaryTraceRecorder::finish().
      */
     virtual void sync() {}
 

@@ -937,22 +937,16 @@ BinaryTraceRecorder::access(std::uint8_t opcode, Addr addr, unsigned size)
 }
 
 void
-BinaryTraceRecorder::enterEvent(std::uint64_t fn_id)
-{
-    block_.push_back(static_cast<char>(kOpEnter));
-    putVarint(block_, fn_id);
-    ++events_;
-    if (++blockEvents_ >= maxBlockEvents_)
-        flushBlock();
-}
-
-void
 BinaryTraceRecorder::fnEnter(ContextId ctx, CallNum call)
 {
     (void)call;
     FunctionId fn = guest_->contexts().function(ctx);
     ensureFunction(fn);
-    enterEvent(static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
+    block_.push_back(static_cast<char>(kOpEnter));
+    putVarint(block_, static_cast<std::uint32_t>(fn));
+    ++events_;
+    if (++blockEvents_ >= maxBlockEvents_)
+        flushBlock();
 }
 
 void
@@ -1012,45 +1006,6 @@ void
 BinaryTraceRecorder::roi(bool active)
 {
     event(active ? kOpRoiBegin : kOpRoiEnd);
-}
-
-void
-BinaryTraceRecorder::processBatch(const EventBuffer &batch)
-{
-    for (std::size_t i = 0, n = batch.size(); i < n; ++i) {
-        std::uint64_t a = batch.a(i);
-        std::uint64_t b = batch.b(i);
-        switch (batch.kind(i)) {
-          case EventKind::kRead:
-            access(kOpRead, a, static_cast<unsigned>(b));
-            break;
-          case EventKind::kWrite:
-            access(kOpWrite, a, static_cast<unsigned>(b));
-            break;
-          case EventKind::kOp:
-            op(a, b);
-            break;
-          case EventKind::kBranch:
-            event(a ? kOpBranchTaken : kOpBranchNotTaken);
-            break;
-          case EventKind::kEnter:
-            ensureFunction(static_cast<FunctionId>(a));
-            enterEvent(a);
-            break;
-          case EventKind::kLeave:
-            event(kOpLeave);
-            break;
-          case EventKind::kThreadSwitch:
-            threadSwitch(static_cast<ThreadId>(a));
-            break;
-          case EventKind::kBarrier:
-            event(kOpBarrier);
-            break;
-          case EventKind::kRoi:
-            event(a ? kOpRoiBegin : kOpRoiEnd);
-            break;
-        }
-    }
 }
 
 void

@@ -107,9 +107,6 @@ class BinaryTraceRecorder : public Tool
     void roi(bool active) override;
     void finish() override;
 
-    /** Native batch consumer: encodes straight from the lanes. */
-    void processBatch(const EventBuffer &batch) override;
-
     /** Events written so far. */
     std::uint64_t eventsWritten() const { return events_; }
 
@@ -130,7 +127,6 @@ class BinaryTraceRecorder : public Tool
     void ensureFunction(FunctionId fn);
     void access(std::uint8_t opcode, Addr addr, unsigned size);
     void event(std::uint8_t opcode);
-    void enterEvent(std::uint64_t fn_id);
     void flushBlock();
     void writeFrame(std::uint8_t tag, std::string_view payload,
                     std::uint64_t first_event, std::uint64_t event_count);

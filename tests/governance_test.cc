@@ -139,7 +139,7 @@ TEST(MemoryGovernor, LedgerBasics)
     MemoryGovernor gov(1000);
     EXPECT_FALSE(gov.overBudget());
     gov.charge(MemCategory::Shadow, 600);
-    gov.charge(MemCategory::EventBuffers, 300);
+    gov.charge(MemCategory::ProfileCatalog, 300);
     EXPECT_EQ(gov.liveBytes(), 900u);
     EXPECT_FALSE(gov.overBudget());
     EXPECT_TRUE(gov.overBudget(200)); // headroom would exceed
@@ -147,7 +147,7 @@ TEST(MemoryGovernor, LedgerBasics)
     EXPECT_EQ(gov.liveBytes(MemCategory::Shadow), 0u);
     EXPECT_EQ(gov.peakBytes(MemCategory::Shadow), 600u);
     EXPECT_EQ(gov.peakBytes(), 900u);
-    gov.release(MemCategory::EventBuffers, 300);
+    gov.release(MemCategory::ProfileCatalog, 300);
     EXPECT_EQ(gov.liveBytes(), 0u);
 
     std::string text = gov.describe();
@@ -332,8 +332,14 @@ TEST(WatchdogGuest, TraceWriterStallSurfacesStructuredReport)
 
     QuietLogs quiet;
     vg::GuestConfig gc;
-    gc.asyncWriter = true;
     gc.stallTimeoutMs = 60;
+    {
+        // Without the async writer there is no thread to watch, so the
+        // guest starts no monitor thread either.
+        vg::Guest idle("stall", gc);
+        EXPECT_EQ(idle.watchdog(), nullptr);
+    }
+    gc.asyncWriter = true;
     std::mutex mu;
     std::vector<StallReport> reports;
     WedgeOnceBuf wedge_buf;
@@ -378,22 +384,16 @@ TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
     vg::GuestConfig good;
     EXPECT_FALSE(good.validate().has_value());
 
-    vg::GuestConfig buffers;
-    buffers.eventBufferEvents = 0;
-    auto err = buffers.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "eventBufferEvents");
-    EXPECT_NE(err->message.find("at least 1"), std::string::npos);
-    EXPECT_NE(err->describe().find("GuestConfig::eventBufferEvents"),
-              std::string::npos);
-
     vg::GuestConfig queue;
     queue.asyncWriter = true;
     queue.writerQueueFrames = 1;
-    err = queue.validate();
+    auto err = queue.validate();
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->knob, "writerQueueFrames");
+    EXPECT_NE(err->message.find("at least 2"), std::string::npos);
     EXPECT_NE(err->message.find("got 1"), std::string::npos);
+    EXPECT_NE(err->describe().find("GuestConfig::writerQueueFrames"),
+              std::string::npos);
     // The same queue depth is fine without the async writer.
     queue.asyncWriter = false;
     EXPECT_FALSE(queue.validate().has_value());
@@ -402,9 +402,10 @@ TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
 TEST(GuestConfigValidate, BadConfigDiesAtGuestConstruction)
 {
     vg::GuestConfig bad;
-    bad.eventBufferEvents = 0;
+    bad.asyncWriter = true;
+    bad.writerQueueFrames = 0;
     EXPECT_EXIT(vg::Guest("bad", bad), ::testing::ExitedWithCode(1),
-                "eventBufferEvents");
+                "writerQueueFrames");
 }
 
 } // namespace

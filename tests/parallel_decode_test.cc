@@ -3,9 +3,8 @@
  * Differential suite for the trace-ingestion path.
  *
  * Replays randomized workloads recorded as LZ-compressed SGB3 through
- * a SigilProfiler, with per-event and with batched dispatch, and
- * requires the serialized profiles and event traces to be bitwise
- * identical to the recording run's own. Also covers checkpoint /
+ * a SigilProfiler and requires the serialized profiles and event
+ * traces to be bitwise identical to the recording run's own. Also covers checkpoint /
  * resume driven straight from a file (mmap'd input) on compressed
  * traces, mmap-vs-stream replay equivalence, rejection of the retired
  * trace formats, and the LZ block codec itself (round-trip,
@@ -198,11 +197,9 @@ struct RunResult
 
 /** Zero-copy replay of an in-memory trace; serialize all outputs. */
 RunResult
-replayOnce(const std::string &trace, const TraceParams &p, bool batched)
+replayOnce(const std::string &trace, const TraceParams &p)
 {
-    vg::GuestConfig gc;
-    gc.batchEvents = batched;
-    vg::Guest g("pardec", gc);
+    vg::Guest g("pardec");
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
 
@@ -243,16 +240,12 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
     // Guard against the vacuous pass.
     ASSERT_GT(t.profile.size(), 100u);
 
-    for (bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batched" : "per-event");
-        RunResult got = replayOnce(t.trace, p, batched);
-        EXPECT_TRUE(got.report.ok());
-        EXPECT_TRUE(got.report.sawTrailer);
-        EXPECT_EQ(got.report.eventsDelivered,
-                  got.report.totalEventsRecorded);
-        EXPECT_EQ(t.profile, got.profile);
-        EXPECT_EQ(t.events, got.events);
-    }
+    RunResult got = replayOnce(t.trace, p);
+    EXPECT_TRUE(got.report.ok());
+    EXPECT_TRUE(got.report.sawTrailer);
+    EXPECT_EQ(got.report.eventsDelivered, got.report.totalEventsRecorded);
+    EXPECT_EQ(t.profile, got.profile);
+    EXPECT_EQ(t.events, got.events);
 }
 
 TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)

@@ -129,7 +129,7 @@ recordTrace(const std::string &path, std::uint64_t seed,
 }
 
 /**
- * The catalog's exact load recipe, in-process: batch-dispatch guest
+ * The catalog's exact load recipe, in-process: a default guest
  * named like the catalog entry, default profiler config, salvage
  * replay. The differential tests compare daemon responses against
  * renderings of this profile byte for byte.
@@ -137,9 +137,7 @@ recordTrace(const std::string &path, std::uint64_t seed,
 core::SigilProfile
 replayInProcess(const std::string &name, const std::string &path)
 {
-    vg::GuestConfig gcfg;
-    gcfg.batchEvents = true;
-    vg::Guest guest(name, gcfg);
+    vg::Guest guest(name);
     core::SigilProfiler profiler{core::SigilConfig{}};
     guest.addTool(&profiler);
     vg::ReplayOptions ropt;

@@ -1134,45 +1134,8 @@ TEST(DegradationLadder, NoReuseConfigSkipsStraightToClassification)
 }
 
 // ---------------------------------------------------------------------
-// Guest::sync() coverage and guest state round-trip
+// Guest state round-trip
 // ---------------------------------------------------------------------
-
-TEST(SyncBarrier, EventsPendingDispatchTracksBatching)
-{
-    vg::GuestConfig gc;
-    gc.batchEvents = true;
-    vg::Guest g("sync", gc);
-    core::SigilProfiler prof;
-    g.addTool(&prof);
-    g.enter("main");
-    g.write(vg::kHeapBase, 4);
-    EXPECT_TRUE(g.eventsPendingDispatch());
-    g.sync();
-    EXPECT_FALSE(g.eventsPendingDispatch());
-    g.write(vg::kHeapBase, 4);
-    g.leave();
-    g.finish(); // finish() syncs: tool reads are safe afterwards
-    EXPECT_FALSE(g.eventsPendingDispatch());
-    EXPECT_GT(prof.takeProfile().rows.size(), 0u);
-}
-
-#ifndef NDEBUG
-TEST(SyncBarrierDeathTest, UnsyncedToolReadAssertsInDebugBuilds)
-{
-    EXPECT_DEATH(
-        {
-            vg::GuestConfig gc;
-            gc.batchEvents = true;
-            vg::Guest g("sync", gc);
-            core::SigilProfiler prof;
-            g.addTool(&prof);
-            g.enter("main");
-            g.write(vg::kHeapBase, 4);
-            (void)prof.aggregates(g.currentContext());
-        },
-        "events pending");
-}
-#endif
 
 TEST(GuestState, SaveRestoreRoundTripsBitIdentically)
 {

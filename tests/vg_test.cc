@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "vg/guest.hh"
 #include "vg/traced.hh"
 
@@ -141,50 +143,75 @@ TEST(ContextTree, AncestorOrSelf)
 class RecordingTool : public Tool
 {
   public:
+    /**
+     * One delivered event plus the guest's ambient state as a callback
+     * sees it: depth, the innermost call (0 at depth 0) and the clock.
+     */
     struct Ev
     {
-        char kind; // 'E'nter, 'L'eave, 'R'ead, 'W'rite, 'O'p, 'B'ranch
+        char kind; // 'E'nter, 'L'eave, 'R'ead, 'W'rite, 'O'p, 'B'ranch,
+                   // 'T'hread switch
         std::uint64_t a = 0;
         std::uint64_t b = 0;
+        std::size_t depth = 0;
+        CallNum call = 0;
+        Tick tick = 0;
     };
 
     void
     fnEnter(ContextId ctx, CallNum call) override
     {
-        events.push_back({'E', static_cast<std::uint64_t>(ctx), call});
+        note('E', static_cast<std::uint64_t>(ctx), call);
     }
 
     void
     fnLeave(ContextId ctx, CallNum call) override
     {
-        events.push_back({'L', static_cast<std::uint64_t>(ctx), call});
+        note('L', static_cast<std::uint64_t>(ctx), call);
     }
 
     void
     memRead(Addr addr, unsigned size) override
     {
-        events.push_back({'R', addr, size});
+        note('R', addr, size);
     }
 
     void
     memWrite(Addr addr, unsigned size) override
     {
-        events.push_back({'W', addr, size});
+        note('W', addr, size);
     }
 
     void
     op(std::uint64_t iops, std::uint64_t flops) override
     {
-        events.push_back({'O', iops, flops});
+        note('O', iops, flops);
     }
 
     void
     branch(bool taken) override
     {
-        events.push_back({'B', taken ? 1u : 0u, 0});
+        note('B', taken ? 1u : 0u, 0);
+    }
+
+    void
+    threadSwitch(ThreadId tid) override
+    {
+        note('T', tid, 0);
     }
 
     std::vector<Ev> events;
+
+  private:
+    void
+    note(char kind, std::uint64_t a, std::uint64_t b)
+    {
+        Ev e{kind, a, b};
+        e.depth = guest_->callDepth();
+        e.call = e.depth > 0 ? guest_->currentCall() : 0;
+        e.tick = guest_->now();
+        events.push_back(e);
+    }
 };
 
 TEST(Guest, DispatchesEventsInOrder)
@@ -199,20 +226,60 @@ TEST(Guest, DispatchesEventsInOrder)
     g.iop(3);
     g.flop(2);
     g.branch(true);
+    g.enter("inner");
+    g.read(a, 4);
+    g.leave();
+    ThreadId worker = g.spawnThread();
+    g.switchThread(worker);
+    g.enter("work");
+    g.leave();
+    g.switchThread(0);
     g.leave();
     g.finish();
 
-    ASSERT_EQ(tool.events.size(), 7u);
-    EXPECT_EQ(tool.events[0].kind, 'E');
-    EXPECT_EQ(tool.events[1].kind, 'W');
-    EXPECT_EQ(tool.events[2].kind, 'R');
+    // Every callback sees the guest as it stands right after its own
+    // event: a leave has already popped the frame and resumed the
+    // caller, a switch has already made the incoming thread current.
+    struct Expect
+    {
+        char kind;
+        std::size_t depth;
+        CallNum call;
+        Tick tick;
+    };
+    const Expect expected[] = {
+        {'E', 1, 1, 0}, // main
+        {'W', 1, 1, 1},
+        {'R', 1, 1, 2},
+        {'O', 1, 1, 5},
+        {'O', 1, 1, 7},
+        {'B', 1, 1, 8},
+        {'E', 2, 2, 8}, // inner
+        {'R', 2, 2, 9},
+        {'L', 1, 1, 9}, // inner returns: main (call 1) resumes
+        {'T', 0, 0, 9}, // worker thread: empty stack
+        {'E', 1, 3, 9}, // work
+        {'L', 0, 0, 9},
+        {'T', 1, 1, 9}, // back on thread 0, inside main
+        {'L', 0, 0, 9}, // main
+    };
+    ASSERT_EQ(tool.events.size(), std::size(expected));
+    for (std::size_t i = 0; i < std::size(expected); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(tool.events[i].kind, expected[i].kind);
+        EXPECT_EQ(tool.events[i].depth, expected[i].depth);
+        EXPECT_EQ(tool.events[i].call, expected[i].call);
+        EXPECT_EQ(tool.events[i].tick, expected[i].tick);
+    }
     EXPECT_EQ(tool.events[2].a, a);
-    EXPECT_EQ(tool.events[3].kind, 'O');
     EXPECT_EQ(tool.events[3].a, 3u);
-    EXPECT_EQ(tool.events[4].kind, 'O');
     EXPECT_EQ(tool.events[4].b, 2u);
-    EXPECT_EQ(tool.events[5].kind, 'B');
-    EXPECT_EQ(tool.events[6].kind, 'L');
+    EXPECT_EQ(tool.events[7].b, 4u);
+    // The leave events name the frame that was left.
+    EXPECT_EQ(tool.events[8].a, tool.events[6].a);
+    EXPECT_EQ(tool.events[8].b, 2u);
+    EXPECT_EQ(tool.events[9].a, worker);
+    EXPECT_EQ(tool.events[12].a, 0u);
 }
 
 TEST(Guest, CountersAccumulate)
