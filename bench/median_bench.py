@@ -8,9 +8,9 @@ merges the runs here:
 
   - real_time, cpu_time and every rate counter (*_per_second) take the
     median across the runs;
-  - every other numeric field takes the maximum, so a peak
-    (queue_depth_peak) or a failure count (failed_requests) seen in any
-    one run is kept rather than voted away;
+  - every other numeric field takes the maximum, so a failure count
+    (failed_requests) or a peak seen in any one run is kept rather
+    than voted away;
   - everything else (units, run_type, ...) comes from the first run.
 
 The merged file keeps the first run's context and benchmark order, and

@@ -190,43 +190,6 @@ BM_TraceRecordBinary(benchmark::State &state)
 BENCHMARK(BM_TraceRecordBinary);
 
 /**
- * Synchronous vs. background-writer recording. Arg: writer (0 sync,
- * 1 async). Async moves LZ compression and CRC32C onto the writer
- * thread, so the guest thread only appends to the current block and enqueues finished ones; the
- * bytes are bit-identical either way (`trace_bytes` must match across
- * the writer axis). `queue_depth_peak` shows how far the guest ran
- * ahead of the writer before backpressure (capped by
- * writerQueueFrames). Real time: with the writer overlapping the
- * guest, CPU time double-counts the background work.
- */
-void
-BM_TraceRecordAsync(benchmark::State &state)
-{
-    bool async = state.range(0) != 0;
-    std::size_t bytes = 0;
-    std::uint64_t depth_peak = 0;
-    for (auto _ : state) {
-        std::ostringstream os(std::ios::binary);
-        vg::GuestConfig gc;
-        gc.asyncWriter = async;
-        vg::Guest g("bench", gc);
-        vg::BinaryTraceRecorder rec(os);
-        g.addTool(&rec);
-        driveWorkload(g, kWorkloadIters);
-        bytes = os.str().size();
-        depth_peak = rec.writerQueuePeak();
-        benchmark::DoNotOptimize(bytes);
-    }
-    state.counters["trace_bytes"] = static_cast<double>(bytes);
-    state.counters["queue_depth_peak"] = static_cast<double>(depth_peak);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kWorkloadIters);
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * bytes));
-}
-BENCHMARK(BM_TraceRecordAsync)->Arg(0)->Arg(1)->UseRealTime();
-
-/**
  * Trace replay, parsing cost only (no tools attached): per-frame CRC
  * verification, decompression and event decoding.
  */

@@ -189,9 +189,9 @@ def main():
             run_paths.append(write(tmp, f"run{i}.json", doc([
                 bench("BM_FullReadDispatch", real_time=t, cpu_time=t * 2,
                       items_per_second=1e7 / t, iterations=100 + i),
-                bench("BM_TraceRecordAsync/1", real_time=10 * t,
-                      cpu_time=10 * t, queue_depth_peak=i % 3,
-                      time_unit="ns"),
+                bench("BM_ServerQueryThroughput/4/real_time",
+                      real_time=10 * t, cpu_time=10 * t,
+                      failed_requests=i % 3, time_unit="ns"),
             ])))
         merged_path = os.path.join(tmp, "merged.json")
         rc, out = run(merged_path, *run_paths, script=MEDIAN)
@@ -201,15 +201,15 @@ def main():
                 merged = json.load(f)
         rows = {b["name"]: b for b in merged.get("benchmarks", [])}
         read = rows.get("BM_FullReadDispatch", {})
-        rec = rows.get("BM_TraceRecordAsync/1", {})
+        srv = rows.get("BM_ServerQueryThroughput/4/real_time", {})
         check("median merge picks each benchmark's median run",
               rc == 0 and read.get("real_time") == 3.0
               and read.get("cpu_time") == 6.0
               and abs(read.get("items_per_second", 0) - 1e7 / 3) < 1
-              and rec.get("real_time") == 30.0
-              and rec.get("time_unit") == "ns", out + json.dumps(merged))
+              and srv.get("real_time") == 30.0
+              and srv.get("time_unit") == "ns", out + json.dumps(merged))
         check("median merge keeps the largest other counter",
-              rec.get("queue_depth_peak") == 2
+              srv.get("failed_requests") == 2
               and read.get("iterations") == 104, json.dumps(merged))
         check("median merge records the run count",
               merged.get("context", {}).get("runs") == 5
@@ -221,7 +221,7 @@ def main():
             bench("BM_FullReadDispatch", real_time=1.0, cpu_time=1.0)]))
         rc, out = run(merged_path, run_paths[0], short, script=MEDIAN)
         check("median merge refuses runs with different benchmarks",
-              rc != 0 and "BM_TraceRecordAsync/1" in out
+              rc != 0 and "BM_ServerQueryThroughput/4/real_time" in out
               and "Traceback" not in out, out)
 
     if failures:

@@ -117,17 +117,13 @@ main(int argc, char **argv)
     // Phase 1: the one expensive instrumented run. The trace goes
     // through a DurableTraceWriter — bytes land in `<trace>.tmp`,
     // fsync every 4 MiB, and the atomic rename in finalize() only
-    // publishes the final path once the shutdown trailer is on disk —
-    // and the compression/CRC work rides on the recorder's background
-    // writer thread instead of the guest thread.
+    // publishes the final path once the shutdown trailer is on disk.
     {
         vg::DurableTraceWriter durable(trace_path, 4u << 20);
         if (!durable.ok())
             fatal("cannot write to %s: %s (create the directory first)",
                   trace_path.c_str(), durable.errorDetail().c_str());
-        vg::GuestConfig gcfg;
-        gcfg.asyncWriter = true;
-        vg::Guest guest(w->name, gcfg);
+        vg::Guest guest(w->name);
         vg::BinaryTraceRecorder recorder(durable.stream());
         core::SigilConfig cfg;
         cfg.collectReuse = true;
@@ -142,12 +138,9 @@ main(int argc, char **argv)
                   durable.errorDetail().c_str());
         core::writeProfileFile(profile_path, profiler.takeProfile());
         core::writeEventsFile(events_path, profiler.events());
-        std::printf("collected: %llu raw events (writer queue peak %llu, "
-                    "%llu fsyncs)\n",
+        std::printf("collected: %llu raw events (%llu fsyncs)\n",
                     static_cast<unsigned long long>(
                         recorder.eventsWritten()),
-                    static_cast<unsigned long long>(
-                        recorder.writerQueuePeak()),
                     static_cast<unsigned long long>(durable.syncCount()));
         std::printf("  %s\n  %s\n  %s\n", trace_path.c_str(),
                     profile_path.c_str(), events_path.c_str());

@@ -9,7 +9,7 @@
  * render the answer from the immutable catalog profile, send one
  * response frame. Per-connection SO_RCVTIMEO/SO_SNDTIMEO deadlines
  * turn a stalled or malicious client into a closed connection instead
- * of a captured worker; the stall watchdog from the replay pipeline
+ * of a captured worker; the stall watchdog (support/watchdog.hh)
  * monitors the workers themselves, so a wedged request (not a slow
  * client — a bug) is reported rather than silently eating a pool
  * slot.

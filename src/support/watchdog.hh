@@ -2,27 +2,22 @@
  * @file
  * Stall watchdog for worker threads.
  *
- * Every long-lived worker thread — the background trace writer,
- * sigild's request workers — registers
- * itself as an entity and then reports liveness with three cheap
- * atomic operations: busy() when it picks up work, beat() as it makes
- * progress, idle() when it blocks waiting for more. A monitor thread
- * samples the heartbeats and flags any entity that has been busy
- * without advancing its beat counter for longer than the configured
- * deadline: a worker wedged inside its work, as opposed to one parked
- * on an empty queue (idle entities are never flagged — blocking for
- * input is not a stall).
+ * sigild's request workers register themselves as entities and then
+ * report liveness with three cheap atomic operations: busy() when a
+ * worker picks up work, beat() as it makes progress, idle() when it
+ * blocks waiting for more. A monitor thread samples the heartbeats and
+ * flags any entity that has been busy without advancing its beat
+ * counter for longer than the configured deadline: a worker wedged
+ * inside its work, as opposed to one parked on an empty queue (idle
+ * entities are never flagged — blocking for input is not a stall).
  *
  * On a stall the monitor assembles a structured StallReport — the
  * stalled entity, the deadline, and a diagnostic line from every
- * registered entity (queue depths, last sequence numbers) — and then
- * either invokes the stall handler (StallAction::Fail — the default
- * handler calls fatal(), failing the run with the report instead of
- * hanging) or logs the report and keeps running (StallAction::Degrade
- * — used by sigild's workers, whose stall costs one slow request, not
- * the daemon). A flagged entity re-arms as
- * soon as its beat counter moves again, so transient stalls are
- * reported once, not once per monitor tick.
+ * registered entity (request counts, error counts) — logs it with
+ * warn(), counts it, and keeps running: a stalled worker costs one
+ * slow request, not the daemon. A flagged entity re-arms as soon as
+ * its beat counter moves again, so transient stalls are reported
+ * once, not once per monitor tick.
  *
  * The monitor runs at a fraction of the deadline, so detection
  * latency is between one and roughly 1.25 deadlines. Heartbeats are
@@ -66,15 +61,9 @@ struct StallReport
 class Watchdog
 {
   public:
-    enum class StallAction {
-        Fail,    ///< invoke the stall handler (default: fatal())
-        Degrade, ///< warn and keep monitoring; the entity self-recovers
-    };
-
     /** Optional per-entity diagnostic snapshot, sampled on a stall.
      *  Called from the monitor thread: must only read atomics. */
     using DiagFn = std::function<std::string()>;
-    using StallHandler = std::function<void(const StallReport &)>;
 
     /** Entities stalled for longer than timeout_ms are reported. */
     explicit Watchdog(unsigned timeout_ms);
@@ -98,8 +87,7 @@ class Watchdog
      * Thread-safe; entities are monitored until unregisterEntity().
      * Fails fatally past kMaxEntities registrations.
      */
-    int registerEntity(std::string name, StallAction action,
-                       DiagFn diag = nullptr);
+    int registerEntity(std::string name, DiagFn diag = nullptr);
 
     /** Stop monitoring an entity (its thread is exiting). */
     void unregisterEntity(int id);
@@ -127,14 +115,8 @@ class Watchdog
     }
 
     /**
-     * Replace the Fail-action handler. The default calls fatal() with
-     * the report message. Runs on the monitor thread.
-     */
-    void setStallHandler(StallHandler handler);
-
-    /**
-     * Number of stalls detected so far (both actions). A stall counts
-     * once its handler (or warning) has returned.
+     * Number of stalls detected so far. A stall counts once its
+     * warning has been logged and lastReportMessage() holds it.
      */
     std::uint64_t stallsDetected() const
     {
@@ -148,7 +130,6 @@ class Watchdog
     struct Entity
     {
         std::string name;
-        StallAction action = StallAction::Fail;
         DiagFn diag;
         std::atomic<std::uint64_t> beats{0};
         std::atomic<bool> busyFlag{false};
@@ -170,7 +151,6 @@ class Watchdog
     /** Slots below this are registered; release-published so the
      *  monitor sees a fully-constructed Entity. */
     std::atomic<int> count_{0};
-    StallHandler handler_;
     std::string lastMessage_;
     std::atomic<std::uint64_t> stalls_{0};
     bool stop_ = false;

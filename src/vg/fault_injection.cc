@@ -62,10 +62,10 @@ applyGarbageBurst(Rng &rng, std::string &trace)
 std::string
 applyDuplicateBlock(Rng &rng, std::string &trace)
 {
-    std::vector<Sgb2BlockInfo> blocks = scanSgb2Blocks(trace);
+    std::vector<FrameInfo> blocks = scanFrames(trace);
     if (blocks.empty())
         return applyGarbageBurst(rng, trace);
-    const Sgb2BlockInfo &b =
+    const FrameInfo &b =
         blocks[static_cast<std::size_t>(rng.nextBounded(blocks.size()))];
     std::string copy = trace.substr(static_cast<std::size_t>(b.offset),
                                     static_cast<std::size_t>(b.length));
@@ -80,7 +80,7 @@ applyReorderBlocks(Rng &rng, std::string &trace)
     // Swap two adjacent *event* frames: swapping a function-table
     // frame past the events that need it would test name loss, which
     // DuplicateBlock-style staleness does not intend to cover here.
-    std::vector<Sgb2BlockInfo> blocks = scanSgb2Blocks(trace);
+    std::vector<FrameInfo> blocks = scanFrames(trace);
     std::vector<std::size_t> events;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         if (blocks[i].tag == 0x02)
@@ -90,18 +90,18 @@ applyReorderBlocks(Rng &rng, std::string &trace)
     // between), or the swap would not be a pure reorder.
     std::vector<std::size_t> pairs;
     for (std::size_t k = 0; k + 1 < events.size(); ++k) {
-        const Sgb2BlockInfo &a = blocks[events[k]];
-        const Sgb2BlockInfo &b = blocks[events[k] + 1];
+        const FrameInfo &a = blocks[events[k]];
+        const FrameInfo &b = blocks[events[k] + 1];
         if (events[k] + 1 == events[k + 1] &&
             a.offset + a.length == b.offset)
             pairs.push_back(events[k]);
     }
     if (pairs.empty())
         return applyGarbageBurst(rng, trace);
-    const Sgb2BlockInfo &a =
+    const FrameInfo &a =
         blocks[pairs[static_cast<std::size_t>(
             rng.nextBounded(pairs.size()))]];
-    const Sgb2BlockInfo &b = blocks[&a - blocks.data() + 1];
+    const FrameInfo &b = blocks[&a - blocks.data() + 1];
     std::string first = trace.substr(static_cast<std::size_t>(a.offset),
                                      static_cast<std::size_t>(a.length));
     std::string second = trace.substr(static_cast<std::size_t>(b.offset),

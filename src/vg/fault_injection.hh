@@ -11,7 +11,7 @@
  * image in place. Tests sweep seeds and assert the ingestion contract:
  * never crash, always account for the loss in the ReplayReport.
  *
- * Block-targeted kinds use scanSgb2Blocks() to aim at real SGB3 frame
+ * Block-targeted kinds use scanFrames() to aim at real SGB3 frame
  * boundaries; byte-level kinds work on any input.
  */
 

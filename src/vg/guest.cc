@@ -1,49 +1,18 @@
 #include "guest.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "support/logging.hh"
 #include "support/mem_governor.hh"
-#include "support/watchdog.hh"
 
 namespace sigil::vg {
-
-std::string
-GuestConfigError::describe() const
-{
-    return "GuestConfig::" + knob + ": " + message;
-}
-
-std::optional<GuestConfigError>
-GuestConfig::validate() const
-{
-    auto reject = [](const char *knob,
-                     std::string message) -> std::optional<GuestConfigError> {
-        return GuestConfigError{knob, std::move(message)};
-    };
-    if (asyncWriter && writerQueueFrames < 2) {
-        char detail[96];
-        std::snprintf(detail, sizeof(detail),
-                      "must be at least 2 with asyncWriter (got %zu)",
-                      writerQueueFrames);
-        return reject("writerQueueFrames", detail);
-    }
-    return std::nullopt;
-}
 
 Guest::Guest(std::string program_name, const GuestConfig &config)
     : programName_(std::move(program_name)), config_(config),
       contexts_(functions_, config.maxContextDepth)
 {
-    if (std::optional<GuestConfigError> err = config.validate())
-        fatal("%s", err->describe().c_str());
     governor_ =
         std::make_shared<sigil::MemoryGovernor>(config.memoryBudgetBytes);
-    // The async trace writer is the only thread the watchdog watches;
-    // without it a monitor thread would run for nothing.
-    if (config.stallTimeoutMs > 0 && config.asyncWriter)
-        watchdog_ = std::make_shared<sigil::Watchdog>(config.stallTimeoutMs);
     inputFn_ = functions_.intern("*input*");
     threads_.push_back(ThreadCtx{{}, kStackBase});
 }
@@ -55,13 +24,6 @@ Guest::addTool(Tool *tool)
         panic("Guest::addTool: null tool");
     tools_.push_back(tool);
     tool->attach(*this);
-}
-
-void
-Guest::sync()
-{
-    for (Tool *t : tools_)
-        t->sync();
 }
 
 void
@@ -313,7 +275,6 @@ Guest::finish()
             leave();
     }
     finished_ = true;
-    sync();
     for (Tool *t : tools_)
         t->finish();
 }
@@ -321,7 +282,6 @@ Guest::finish()
 void
 Guest::saveState(ByteSink &sink)
 {
-    sync();
     sink.u8(1); // guest state version
     sink.str(programName_);
 

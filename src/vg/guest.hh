@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +32,6 @@
 
 namespace sigil {
 class MemoryGovernor;
-class Watchdog;
 } // namespace sigil
 
 namespace sigil::vg {
@@ -58,18 +56,6 @@ struct GuestCounters
     }
 };
 
-/** One rejected GuestConfig knob (see GuestConfig::validate()). */
-struct GuestConfigError
-{
-    /** Name of the offending knob, e.g. "writerQueueFrames". */
-    std::string knob;
-    /** What is wrong with it. */
-    std::string message;
-
-    /** "GuestConfig::<knob>: <message>" */
-    std::string describe() const;
-};
-
 /** Construction-time options of a guest. */
 struct GuestConfig
 {
@@ -81,21 +67,6 @@ struct GuestConfig
     unsigned maxContextDepth = 0;
 
     /**
-     * Background trace writer: a BinaryTraceRecorder attached to this
-     * guest moves frame serialization — LZ compression and CRC32C —
-     * onto a dedicated writer thread fed by a bounded
-     * frame queue. The guest thread only appends to the current block
-     * and enqueues finished blocks; when the queue is full it blocks
-     * (backpressure) rather than buffering unboundedly. The bytes
-     * written are bit-identical to synchronous recording. Purely
-     * advisory to recording tools.
-     */
-    bool asyncWriter = false;
-
-    /** Capacity of the async writer's frame queue (min 2). */
-    std::size_t writerQueueFrames = 16;
-
-    /**
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
      * shadow chunks (hot + cold + stamp tables). When an allocation
@@ -105,26 +76,6 @@ struct GuestConfig
      * default) disables enforcement; the governor still tracks usage.
      */
     std::size_t memoryBudgetBytes = 0;
-
-    /**
-     * Stall deadline, in milliseconds, for the watchdog
-     * (support/watchdog.hh) over the one worker thread this guest's
-     * subsystems spawn: the background trace writer. A writer busy
-     * without progress for longer than this fails the run with a
-     * structured diagnostic report. 0 (the default) disables the
-     * watchdog, and so does a guest without asyncWriter: with no
-     * writer thread there is nothing to watch.
-     */
-    unsigned stallTimeoutMs = 0;
-
-    /**
-     * Validate knob ranges and reject conflicting combinations.
-     * Returns the first problem found, or nullopt when the
-     * configuration is usable. Guest's constructor calls this and
-     * fails fatally on an error; call it directly to surface
-     * configuration problems as data instead of a death.
-     */
-    std::optional<GuestConfigError> validate() const;
 };
 
 /** The instrumented guest program. */
@@ -156,31 +107,16 @@ class Guest
     sigil::MemoryGovernor *governor() const { return governor_.get(); }
 
     /**
-     * The guest's stall watchdog, or nullptr unless both stallTimeoutMs
-     * and asyncWriter are set. The async trace writer registers here.
+     * Shared ownership of the governor: tools routinely outlive the
+     * guest they were attached to (tests tear the guest down first),
+     * so a subsystem that must reach the governor from its own
+     * destructor — the profiler's shadow releasing its charge — keeps
+     * this handle instead of the raw pointer.
      */
-    sigil::Watchdog *watchdog() const { return watchdog_.get(); }
-
-    /** @name Shared ownership of the governor and watchdog
-     *
-     * Tools routinely outlive the guest they were attached to (tests
-     * tear the guest down first), so any subsystem that must reach the
-     * governor or watchdog from its own destructor — the async trace
-     * writer unregistering its heartbeat, the profiler's shadow
-     * releasing its charge — keeps one of these shared handles instead
-     * of the raw pointer.
-     */
-    /// @{
     std::shared_ptr<sigil::MemoryGovernor> governorShared() const
     {
         return governor_;
     }
-
-    std::shared_ptr<sigil::Watchdog> watchdogShared() const
-    {
-        return watchdog_;
-    }
-    /// @}
 
     FunctionRegistry &functions() { return functions_; }
     const FunctionRegistry &functions() const { return functions_; }
@@ -366,12 +302,6 @@ class Guest
     /** Finish the program: pops nothing, notifies tools. Idempotent. */
     void finish();
 
-    /**
-     * sync() every tool (see Tool::sync()) so a tool that owns a queue
-     * can drain it. finish() and saveState() sync implicitly.
-     */
-    void sync();
-
     /** Virtual time in retired operations. */
     Tick now() const { return counters_.instructions(); }
 
@@ -389,7 +319,7 @@ class Guest
      */
     /// @{
 
-    /** Serialize the full guest state. sync()s the tools first. */
+    /** Serialize the full guest state. */
     void saveState(ByteSink &sink);
 
     /**
@@ -438,9 +368,8 @@ class Guest
     bool finished_ = false;
 
     /** Shared so subsystems that outlive the guest (see
-     *  governorShared()) keep them alive. */
+     *  governorShared()) keep it alive. */
     std::shared_ptr<sigil::MemoryGovernor> governor_;
-    std::shared_ptr<sigil::Watchdog> watchdog_;
 
     GuestCounters counters_;
 };

@@ -87,15 +87,6 @@ class Tool
      */
     virtual void roi(bool active) { (void)active; }
 
-    /**
-     * Drain any queue the tool owns so that its output reflects every
-     * event delivered so far. Called by Guest::sync() and
-     * Guest::finish(). No bundled tool needs it: their state is
-     * current after every callback, and the async trace writer drains
-     * in BinaryTraceRecorder::finish().
-     */
-    virtual void sync() {}
-
     /** The guest program finished; flush any pending state. */
     virtual void finish() {}
 

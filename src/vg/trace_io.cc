@@ -1,33 +1,23 @@
 #include "trace_io.hh"
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <istream>
-#include <mutex>
 #include <optional>
 #include <ostream>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define SIGIL_HAVE_MMAP 1
-#endif
 
 #include "support/crc32c.hh"
 #include "support/logging.hh"
 #include "support/lz.hh"
-#include "support/watchdog.hh"
 
 namespace sigil::vg {
 
@@ -656,156 +646,12 @@ decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
 // Binary recorder
 // ---------------------------------------------------------------------
 
-/**
- * Background writer (GuestConfig::asyncWriter): a bounded frame queue
- * between the guest thread and one writer thread. The guest thread
- * only moves a finished block's bytes into the queue; the writer
- * thread does everything writeFrame() does — compression, both CRCs,
- * the stream writes — so in async mode it is the sole user of comp_,
- * blockSeq_, and os_ after the header. push() blocks while the queue
- * is at capacity, so a slow disk exerts backpressure on the guest
- * instead of ballooning the heap. Frames drain strictly FIFO: the
- * bytes on disk are identical to synchronous recording.
- */
-struct BinaryTraceRecorder::AsyncWriter
-{
-    struct Job
-    {
-        std::uint8_t tag = 0;
-        std::string payload;
-        std::uint64_t firstEvent = 0;
-        std::uint64_t eventCount = 0;
-    };
-
-    AsyncWriter(BinaryTraceRecorder &rec, std::size_t capacity,
-                std::shared_ptr<Watchdog> watchdog)
-        : rec_(rec), capacity_(capacity < 2 ? 2 : capacity),
-          dog_(std::move(watchdog))
-    {
-        if (dog_ != nullptr) {
-            dogId_ = dog_->registerEntity(
-                "trace-writer", Watchdog::StallAction::Fail, [this] {
-                    char buf[80];
-                    std::snprintf(
-                        buf, sizeof(buf),
-                        "queue depth=%zu, frames written=%llu",
-                        depthApprox_.load(std::memory_order_relaxed),
-                        static_cast<unsigned long long>(
-                            framesWritten_.load(
-                                std::memory_order_relaxed)));
-                    return std::string(buf);
-                });
-        }
-        thread_ = std::thread([this] { run(); });
-    }
-
-    ~AsyncWriter() { shutdown(); }
-
-    /** Enqueue one finished frame; blocks while the queue is full. */
-    void
-    push(std::uint8_t tag, std::string &&payload,
-         std::uint64_t first_event, std::uint64_t event_count)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        cvSpace_.wait(lock,
-                      [this] { return queue_.size() < capacity_; });
-        queue_.push_back(
-            Job{tag, std::move(payload), first_event, event_count});
-        std::size_t depth = queue_.size();
-        depthApprox_.store(depth, std::memory_order_relaxed);
-        if (depth > depthPeak_.load(std::memory_order_relaxed))
-            depthPeak_.store(depth, std::memory_order_relaxed);
-        cvWork_.notify_one();
-    }
-
-    /** Drain every queued frame, then join the thread. Idempotent. */
-    void
-    shutdown()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cvWork_.notify_all();
-        if (thread_.joinable())
-            thread_.join();
-        if (dog_ != nullptr) {
-            dog_->unregisterEntity(dogId_);
-            dog_ = nullptr;
-        }
-    }
-
-    std::uint64_t
-    depthPeak() const
-    {
-        return depthPeak_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            if (dog_ != nullptr)
-                dog_->idle(dogId_);
-            cvWork_.wait(lock,
-                         [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty()) // stop requested and fully drained
-                return;
-            if (dog_ != nullptr)
-                dog_->busy(dogId_);
-            Job job = std::move(queue_.front());
-            queue_.pop_front();
-            depthApprox_.store(queue_.size(),
-                               std::memory_order_relaxed);
-            cvSpace_.notify_one();
-            lock.unlock();
-            rec_.writeFrame(job.tag, job.payload, job.firstEvent,
-                            job.eventCount);
-            framesWritten_.fetch_add(1, std::memory_order_relaxed);
-            if (dog_ != nullptr)
-                dog_->beat(dogId_);
-            lock.lock();
-        }
-    }
-
-    BinaryTraceRecorder &rec_;
-    const std::size_t capacity_;
-    /** Shared: unregistration in shutdown() may run after the guest. */
-    std::shared_ptr<Watchdog> dog_;
-    int dogId_ = -1;
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvSpace_;
-    std::deque<Job> queue_;
-    std::atomic<std::size_t> depthApprox_{0};
-    std::atomic<std::uint64_t> depthPeak_{0};
-    std::atomic<std::uint64_t> framesWritten_{0};
-    bool stop_ = false;
-    std::thread thread_;
-};
-
 BinaryTraceRecorder::BinaryTraceRecorder(std::ostream &os, TraceFormat,
                                          std::size_t block_events)
     : os_(os), maxBlockEvents_(block_events)
 {
     if (maxBlockEvents_ == 0)
         fatal("binary trace: block size must be at least 1 event");
-}
-
-BinaryTraceRecorder::~BinaryTraceRecorder()
-{
-    // finish() is the orderly path; without it, still drain whatever
-    // was queued so the destructor never abandons a running thread.
-    if (writer_)
-        writer_->shutdown();
-}
-
-std::uint64_t
-BinaryTraceRecorder::writerQueuePeak() const
-{
-    return writer_ ? writer_->depthPeak() : 0;
 }
 
 void
@@ -818,11 +664,6 @@ BinaryTraceRecorder::attach(const Guest &guest)
     putVarint(header, name.size());
     header += name;
     os_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    if (guest.config().asyncWriter) {
-        writer_ = std::make_unique<AsyncWriter>(
-            *this, guest.config().writerQueueFrames,
-            guest.watchdogShared());
-    }
 }
 
 void
@@ -885,29 +726,16 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
 }
 
 void
-BinaryTraceRecorder::emitFrame(std::uint8_t tag, std::string &payload,
-                               std::uint64_t first_event,
-                               std::uint64_t event_count)
-{
-    if (writer_) {
-        writer_->push(tag, std::move(payload), first_event, event_count);
-        payload = std::string(); // moved-from: leave it reusable
-    } else {
-        writeFrame(tag, payload, first_event, event_count);
-    }
-}
-
-void
 BinaryTraceRecorder::flushBlock()
 {
     std::uint64_t first_event = events_ - blockEvents_;
     if (!pendingFns_.empty()) {
-        emitFrame(kTagFunctions, pendingFns_, first_event, 0);
+        writeFrame(kTagFunctions, pendingFns_, first_event, 0);
         pendingFns_.clear();
     }
     if (blockEvents_ == 0)
         return;
-    emitFrame(kTagEvents, block_, first_event, blockEvents_);
+    writeFrame(kTagEvents, block_, first_event, blockEvents_);
     // Each block must decode independently (salvage can drop any
     // predecessor), so the address delta chain restarts here.
     prevAddr_ = 0;
@@ -1021,14 +849,12 @@ BinaryTraceRecorder::finish()
     // which is exactly the signal.
     std::string shutdown;
     putVarint(shutdown, events_);
-    emitFrame(kTagShutdown, shutdown, events_, 0);
+    writeFrame(kTagShutdown, shutdown, events_, 0);
     // The end frame doubles as the trailer: firstEventSeq is the total
     // event count, giving salvage replays the ground truth for their
     // skipped-vs-delivered accounting.
     std::string empty;
-    emitFrame(kTagEnd, empty, events_, 0);
-    if (writer_)
-        writer_->shutdown();
+    writeFrame(kTagEnd, empty, events_, 0);
     os_.flush();
 }
 
@@ -1464,7 +1290,6 @@ BinaryReplaySession::restoreReaderState(ByteSource &src)
 
 MappedTraceFile::MappedTraceFile(const std::string &path)
 {
-#ifdef SIGIL_HAVE_MMAP
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd >= 0) {
         struct stat st;
@@ -1516,7 +1341,6 @@ MappedTraceFile::MappedTraceFile(const std::string &path)
             }
         }
     }
-#endif
     std::ifstream is(path, std::ios::binary);
     if (!is) {
         error_ = "cannot open '" + path + "' for reading";
@@ -1529,17 +1353,13 @@ MappedTraceFile::MappedTraceFile(const std::string &path)
 
 MappedTraceFile::~MappedTraceFile()
 {
-#ifdef SIGIL_HAVE_MMAP
     if (map_ != nullptr)
         ::munmap(map_, mapLen_);
-#endif
 }
 
 // ---------------------------------------------------------------------
 // Durable trace writer
 // ---------------------------------------------------------------------
-
-#ifdef SIGIL_HAVE_MMAP
 
 /**
  * Unbuffered streambuf over a POSIX fd: every put reaches write(2)
@@ -1687,58 +1507,6 @@ DurableTraceWriter::finalize()
     return good;
 }
 
-#else // !SIGIL_HAVE_MMAP
-
-/** Portable fallback: plain ofstream, no fsync guarantees. */
-class DurableTraceWriter::FdBuf : public std::filebuf
-{
-  public:
-    std::uint64_t syncs() const noexcept { return 0; }
-};
-
-DurableTraceWriter::DurableTraceWriter(const std::string &path,
-                                       std::size_t)
-    : path_(path), tmpPath_(path + ".tmp")
-{
-    auto buf = std::make_unique<FdBuf>();
-    if (buf->open(tmpPath_,
-                  std::ios::binary | std::ios::out | std::ios::trunc) ==
-        nullptr) {
-        error_ = "cannot create '" + tmpPath_ + "'";
-        return;
-    }
-    buf_ = std::move(buf);
-    os_ = std::make_unique<std::ostream>(buf_.get());
-    ok_ = true;
-}
-
-DurableTraceWriter::~DurableTraceWriter() = default;
-
-std::uint64_t
-DurableTraceWriter::syncCount() const
-{
-    return 0;
-}
-
-bool
-DurableTraceWriter::finalize()
-{
-    if (finalized_)
-        return ok_;
-    if (!ok_)
-        return false;
-    finalized_ = true;
-    os_->flush();
-    buf_->close();
-    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
-        error_ = "rename to '" + path_ + "' failed";
-        ok_ = false;
-    }
-    return ok_;
-}
-
-#endif // SIGIL_HAVE_MMAP
-
 // ---------------------------------------------------------------------
 // Replay entry points
 // ---------------------------------------------------------------------
@@ -1796,10 +1564,10 @@ replayTraceFile(const std::string &path, Guest &guest,
     return session.finish();
 }
 
-std::vector<Sgb2BlockInfo>
-scanSgb2Blocks(std::string_view trace)
+std::vector<FrameInfo>
+scanFrames(std::string_view trace)
 {
-    std::vector<Sgb2BlockInfo> blocks;
+    std::vector<FrameInfo> blocks;
     std::size_t pos = 0;
     for (;;) {
         pos = findNextFrame(trace, pos);
@@ -1817,7 +1585,7 @@ scanSgb2Blocks(std::string_view trace)
             ++pos;
             continue;
         }
-        Sgb2BlockInfo info;
+        FrameInfo info;
         info.offset = pos;
         info.length = frame_len;
         info.tag = h->tag;

@@ -67,6 +67,9 @@ enum class TraceFormat
  * varint size; ops carry two varints; enters a varint function id;
  * thread switches a varint thread id; branches, barriers, and ROI
  * marks fold their flag into the opcode.
+ *
+ * Recording starts no thread: a block is compressed, checksummed and
+ * written to the stream on the guest thread as soon as it fills.
  */
 class BinaryTraceRecorder : public Tool
 {
@@ -85,16 +88,6 @@ class BinaryTraceRecorder : public Tool
                                  TraceFormat format = TraceFormat::SGB3,
                                  std::size_t block_events = kBlockEvents);
 
-    ~BinaryTraceRecorder() override;
-
-    /**
-     * Attaching to a guest whose GuestConfig::asyncWriter is set moves
-     * frame serialization — LZ compression and CRC32C — onto a background writer thread fed by a bounded queue of
-     * finished blocks (GuestConfig::writerQueueFrames deep; a full
-     * queue blocks the guest thread as backpressure). The bytes that
-     * reach the stream are bit-identical to synchronous recording.
-     * finish() drains and joins the writer.
-     */
     void attach(const Guest &guest) override;
     void fnEnter(ContextId ctx, CallNum call) override;
     void fnLeave(ContextId ctx, CallNum call) override;
@@ -110,29 +103,13 @@ class BinaryTraceRecorder : public Tool
     /** Events written so far. */
     std::uint64_t eventsWritten() const { return events_; }
 
-    /** True when a background writer thread is active. */
-    bool asyncActive() const { return writer_ != nullptr; }
-
-    /**
-     * Deepest the async writer's frame queue ever got (0 in
-     * synchronous mode): how far the guest thread ran ahead of the
-     * writer before backpressure or the writer caught up.
-     */
-    std::uint64_t writerQueuePeak() const;
-
   private:
-    struct AsyncWriter;
-    friend struct AsyncWriter;
-
     void ensureFunction(FunctionId fn);
     void access(std::uint8_t opcode, Addr addr, unsigned size);
     void event(std::uint8_t opcode);
     void flushBlock();
     void writeFrame(std::uint8_t tag, std::string_view payload,
                     std::uint64_t first_event, std::uint64_t event_count);
-    /** Route one finished frame: enqueue (async) or write (sync). */
-    void emitFrame(std::uint8_t tag, std::string &payload,
-                   std::uint64_t first_event, std::uint64_t event_count);
 
     std::ostream &os_;
     std::size_t maxBlockEvents_;
@@ -145,7 +122,6 @@ class BinaryTraceRecorder : public Tool
     std::vector<bool> emitted_;
     std::uint64_t events_ = 0;
     bool finished_ = false;
-    std::unique_ptr<AsyncWriter> writer_;
 };
 
 /**
@@ -337,7 +313,7 @@ class BinaryReplaySession
 };
 
 /** One SGB3 frame located in a trace buffer (fault-injection aid). */
-struct Sgb2BlockInfo
+struct FrameInfo
 {
     std::uint64_t offset = 0; ///< absolute offset of the sync bytes
     std::uint64_t length = 0; ///< frame header + stored payload bytes
@@ -354,7 +330,7 @@ struct Sgb2BlockInfo
  * corruption at specific blocks and by tests to reason about frame
  * layout; returns an empty vector for input without SGB3 frames.
  */
-std::vector<Sgb2BlockInfo> scanSgb2Blocks(std::string_view trace);
+std::vector<FrameInfo> scanFrames(std::string_view trace);
 
 } // namespace sigil::vg
 

@@ -4,15 +4,14 @@
  *
  * The centrepiece is the crash-kill sweep: a child process records a
  * trace through DurableTraceWriter and SIGKILLs itself at a
- * seed-dependent point mid-run, across the synchronous and
- * async-writer paths. The parent then salvages the orphaned
+ * seed-dependent point mid-run. The parent then salvages the orphaned
  * `.tmp` file and asserts the recovery contract — every fully-framed
  * event in the file is delivered, nothing more, and the report says
- * the shutdown was not clean. Every recorded trace mixes LZ-compressed
- * and stored-raw frames. Around it: async-vs-sync bit-identity
- * of the recorded bytes, the atomic tmp-file/rename publication
- * semantics of DurableTraceWriter, the clean-shutdown trailer on
- * intact traces, and ReplayReport::toString()/operator<< rendering.
+ * the shutdown was not clean. Most captures mix LZ-compressed and
+ * stored-raw frames. Around it: the atomic tmp-file/rename
+ * publication semantics of DurableTraceWriter, the clean-shutdown
+ * trailer on intact traces, and ReplayReport::toString()/operator<<
+ * rendering.
  */
 
 #include <gtest/gtest.h>
@@ -110,7 +109,6 @@ driveWorkload(vg::Guest &g, std::uint64_t seed, int steps,
 struct SweepParams
 {
     std::uint64_t seed;
-    bool async;
     int killStep;
 };
 
@@ -125,10 +123,7 @@ crashChild(const std::string &path, const SweepParams &p)
     vg::DurableTraceWriter durable(path, 1u << 14);
     if (!durable.ok())
         ::_exit(2);
-    vg::GuestConfig gc;
-    gc.asyncWriter = p.async;
-    gc.writerQueueFrames = 4;
-    vg::Guest g("crash", gc);
+    vg::Guest g("crash");
     vg::BinaryTraceRecorder rec(durable.stream(), vg::TraceFormat::SGB3,
                                 kBlockEvents);
     g.addTool(&rec);
@@ -153,7 +148,7 @@ bool
 mixedFrames(const std::string &trace)
 {
     bool compressed = false, raw = false;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.tag == 0x02)
             (b.compressed ? compressed : raw) = true;
     }
@@ -165,7 +160,7 @@ std::uint64_t
 fullyFramedEvents(const std::string &trace)
 {
     std::uint64_t total = 0;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.tag == 0x02)
             total += b.eventCount;
     }
@@ -206,7 +201,6 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
     for (int s = 0; s < kSeeds; ++s) {
         SweepParams p;
         p.seed = 7700 + static_cast<std::uint64_t>(s);
-        p.async = s % 2 == 0;
         // Land kills from "barely past the header" to "thousands of
         // events in", so the tail frame is cut at varied offsets.
         p.killStep = 20 + static_cast<int>(
@@ -266,9 +260,7 @@ TEST(DurableWriter, CleanRunPublishesFinalPathWithTrailer)
     {
         vg::DurableTraceWriter durable(path, 1u << 12);
         ASSERT_TRUE(durable.ok()) << durable.errorDetail();
-        vg::GuestConfig gc;
-        gc.asyncWriter = true;
-        vg::Guest g("clean", gc);
+        vg::Guest g("clean");
         vg::BinaryTraceRecorder rec(durable.stream(), vg::TraceFormat::SGB3,
                                     kBlockEvents);
         g.addTool(&rec);
@@ -321,50 +313,6 @@ TEST(DurableWriter, UnwritableDirectoryReportsError)
 }
 
 // ---------------------------------------------------------------------
-// Async writer: bit-identity and accounting
-// ---------------------------------------------------------------------
-
-std::string
-recordBytes(bool async, std::uint64_t seed)
-{
-    std::ostringstream os(std::ios::binary);
-    vg::GuestConfig gc;
-    gc.asyncWriter = async;
-    gc.writerQueueFrames = 3;
-    vg::Guest g("ident", gc);
-    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3, kBlockEvents);
-    g.addTool(&rec);
-    driveWorkload(g, seed, 5000);
-    EXPECT_EQ(rec.asyncActive(), async);
-    return os.str();
-}
-
-TEST(AsyncWriter, BytesBitIdenticalToSync)
-{
-    for (std::uint64_t seed : {11u, 12u, 13u}) {
-        std::string sync_bytes = recordBytes(false, seed);
-        std::string async_bytes = recordBytes(true, seed);
-        EXPECT_TRUE(mixedFrames(sync_bytes)) << "seed " << seed;
-        EXPECT_EQ(sync_bytes, async_bytes) << "seed " << seed;
-    }
-}
-
-TEST(AsyncWriter, QueuePeakIsBoundedAndObserved)
-{
-    std::ostringstream os(std::ios::binary);
-    vg::GuestConfig gc;
-    gc.asyncWriter = true;
-    gc.writerQueueFrames = 3;
-    vg::Guest g("depth", gc);
-    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3,
-                                kBlockEvents);
-    g.addTool(&rec);
-    driveWorkload(g, 21, 8000);
-    EXPECT_GE(rec.writerQueuePeak(), 1u);
-    EXPECT_LE(rec.writerQueuePeak(), 3u); // backpressure bound
-}
-
-// ---------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------
 
@@ -391,7 +339,7 @@ TEST(ReplayReportRender, ToStringAndStreamOperator)
     // match toString() byte for byte. Cut at the shutdown frame so the
     // truncation actually removes the clean-shutdown evidence.
     std::size_t cut = trace.size() - 40;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.tag == 0x03) {
             cut = static_cast<std::size_t>(b.offset);
             break;

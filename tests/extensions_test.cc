@@ -314,7 +314,7 @@ TEST(TraceIo, ReplayRejectsTruncation)
     }
     // Chop the end frame: the stream stops without its trailer.
     std::string bytes = full.str();
-    std::vector<vg::Sgb2BlockInfo> frames = vg::scanSgb2Blocks(bytes);
+    std::vector<vg::FrameInfo> frames = vg::scanFrames(bytes);
     ASSERT_EQ(frames.back().tag, 0x00);
     bytes.resize(static_cast<std::size_t>(frames.back().offset));
     std::istringstream cut(bytes, std::ios::binary);
@@ -340,7 +340,7 @@ TEST(TraceIo, RecorderCountsEvents)
     // enter + op + write + read + branch + leave = 6.
     EXPECT_EQ(recorder.eventsWritten(), 6u);
     EXPECT_EQ(ss.str().rfind("SGB3", 0), 0u);
-    std::vector<vg::Sgb2BlockInfo> frames = vg::scanSgb2Blocks(ss.str());
+    std::vector<vg::FrameInfo> frames = vg::scanFrames(ss.str());
     ASSERT_FALSE(frames.empty());
     EXPECT_EQ(frames.back().tag, 0x00); // end frame
     EXPECT_EQ(frames.back().firstEventSeq, 6u);

@@ -180,7 +180,7 @@ record(const TraceParams &p, std::size_t block_events = 256)
 bool
 anyCompressed(const std::string &trace)
 {
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.compressed)
             return true;
     }
@@ -455,7 +455,7 @@ TEST(MappedTrace, ReplayTraceFileSniffsEveryFormat)
         vg::Guest g("pardec");
         std::uint64_t events = vg::replayTraceFile(path, g);
         EXPECT_GT(events, 1000u);
-        EXPECT_EQ(events, vg::scanSgb2Blocks(t.trace).back().firstEventSeq);
+        EXPECT_EQ(events, vg::scanFrames(t.trace).back().firstEventSeq);
     }
 
     // Only SGB3 is readable. A retired format is a structured BadMagic

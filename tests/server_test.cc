@@ -497,8 +497,9 @@ TEST(ServerCatalog, UngovernedCatalogNeverEvicts)
                                     1000);
     server::ProfileCatalog catalog(nullptr);
     for (int i = 0; i < 6; ++i) {
-        ASSERT_TRUE(
-            catalog.load("t" + std::to_string(i), trace).ok);
+        std::string name = "t";
+        name += std::to_string(i);
+        ASSERT_TRUE(catalog.load(name, trace).ok);
     }
     EXPECT_EQ(catalog.size(), 6u);
     EXPECT_EQ(catalog.evictions(), 0u);

@@ -342,7 +342,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MixedParams{6, true, true}),
     [](const ::testing::TestParamInfo<MixedParams> &info) {
         const MixedParams &p = info.param;
-        std::string name = "g" + std::to_string(p.granularityShift);
+        std::string name = "g";
+        name += std::to_string(p.granularityShift);
         if (p.roiOnly)
             name += "_roi";
         if (p.collectEvents)

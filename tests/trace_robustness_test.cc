@@ -189,7 +189,7 @@ void
 expectMixedFrames(const std::string &trace)
 {
     std::size_t compressed = 0, raw = 0;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.tag == 0x02)
             ++(b.compressed ? compressed : raw);
     }
@@ -234,7 +234,7 @@ std::uint64_t
 recordedTotal(const std::string &trace)
 {
     // The total lives in the last frame of tag 0x00, the end frame.
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
     EXPECT_FALSE(blocks.empty());
     for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
         if (it->tag == 0x00)
@@ -393,13 +393,13 @@ TEST(Sgb3Format, RoundTripMatchesLiveRunAndScans)
     // The frame scan sees every block and the trailer's event total;
     // the end frame is the last bytes of the file.
     expectMixedFrames(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
     ASSERT_GE(blocks.size(), 5u);
     EXPECT_EQ(blocks.back().tag, kTagEnd);
     EXPECT_EQ(blocks.back().firstEventSeq, rec.eventsWritten());
     EXPECT_EQ(blocks.back().offset + blocks.back().length, trace.size());
     std::uint64_t counted = 0;
-    for (const vg::Sgb2BlockInfo &b : blocks)
+    for (const vg::FrameInfo &b : blocks)
         counted += b.eventCount;
     EXPECT_EQ(counted, rec.eventsWritten());
 }
@@ -588,11 +588,11 @@ TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
         std::string trace = recordTrace(p, 64);
         std::uint64_t total = recordedTotal(trace);
         expectMixedFrames(trace);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
+        std::vector<vg::FrameInfo> blocks =
+            vg::scanFrames(trace);
 
         for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-            const vg::Sgb2BlockInfo &victim = blocks[vi];
+            const vg::FrameInfo &victim = blocks[vi];
             if (victim.tag != kTagEvents)
                 continue;
             SCOPED_TRACE("seed " + std::to_string(p.seed) +
@@ -634,7 +634,7 @@ TEST(SalvageRecovery, DamagedHeaderResynchronizesOnNextFrame)
     std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
     expectMixedFrames(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
 
     // Damage the header of the first compressed and the first
     // stored-raw event frame past the preamble's neighbourhood.
@@ -669,11 +669,11 @@ TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
     expectMixedFrames(trace);
     ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
 
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
     for (bool compressed : {true, false}) {
         SCOPED_TRACE(compressed ? "compressed duplicate" : "raw duplicate");
-        const vg::Sgb2BlockInfo *victim = nullptr;
-        for (const vg::Sgb2BlockInfo &b : blocks)
+        const vg::FrameInfo *victim = nullptr;
+        for (const vg::FrameInfo &b : blocks)
             if (b.tag == kTagEvents && b.firstEventSeq > 0 &&
                 b.compressed == compressed) {
                 victim = &b;
@@ -701,10 +701,10 @@ TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
     std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
     expectMixedFrames(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
 
     // Swap two adjacent event frames, one compressed and one raw.
-    const vg::Sgb2BlockInfo *a = nullptr, *b = nullptr;
+    const vg::FrameInfo *a = nullptr, *b = nullptr;
     for (std::size_t i = 0; i + 1 < blocks.size(); ++i)
         if (blocks[i].tag == kTagEvents &&
             blocks[i + 1].tag == kTagEvents &&
