@@ -3,7 +3,9 @@
 
 Guards the perf trajectory of the hot paths: the stamp-word span fill
 (BM_ShadowSpanStride), the read-classification layer
-(BM_ClassifyRead), one traced read through cg + Sigil
+(BM_ClassifyRead), reader-stamp interning (BM_InternReader), chunk
+resolution under alternating access (BM_ChunkAlternation), one
+traced read through cg + Sigil
 (BM_FullReadDispatch), end-to-end SGB3 trace replay throughput
 (BM_TraceReplayThroughput), sigild query throughput
 (BM_ServerQueryThroughput), and the shadow-memory footprint (the
@@ -51,6 +53,8 @@ WATCHED = [
     (r"^BM_ShadowSpanStride/", "bytes_per_second", +1),
     (r"^BM_ShadowPerUnitStride/", "bytes_per_second", +1),
     (r"^BM_ClassifyRead/", "items_per_second", +1),
+    (r"^BM_InternReader/", "items_per_second", +1),
+    (r"^BM_ChunkAlternation$", "items_per_second", +1),
     (r"^BM_FullReadDispatch$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "shadow_peak_bytes", -1),

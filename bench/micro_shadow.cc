@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
 
 #include "cg/cg_tool.hh"
@@ -133,6 +134,66 @@ BM_ShadowSpanStride(benchmark::State &state)
 }
 BENCHMARK(BM_ShadowSpanStride)
     ->ArgsProduct({{1, 8, 64, 4096}, {0, 6}, {0, 16}});
+
+/**
+ * Reader-stamp interning through the shadow, one intern per iteration.
+ * Arg 0 repeats one stamp (the one-entry cache). Arg 1 alternates a
+ * caller stamp with a callee stamp whose call number is new every
+ * time, the pattern of a loop calling a short function that reads
+ * (canneal): every callee intern adds a tuple. The shadow is rebuilt
+ * every 2^16 interns to keep the table's size bounded.
+ */
+void
+BM_InternReader(benchmark::State &state)
+{
+    const bool fresh_callees = state.range(0) != 0;
+    constexpr std::uint64_t kReset = 1 << 16;
+    auto sm = std::make_unique<shadow::ShadowMemory>();
+    std::uint64_t n = 0;
+    vg::CallNum next_call = 2;
+    for (auto _ : state) {
+        if (++n % kReset == 0) {
+            sm = std::make_unique<shadow::ShadowMemory>();
+            next_call = 2;
+        }
+        shadow::ReaderStamp s{1, 0};
+        if (fresh_callees && (n & 1) != 0)
+            s = shadow::ReaderStamp{next_call++, 1};
+        benchmark::DoNotOptimize(sm->internReader(s));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_InternReader)->Arg(0)->Arg(1);
+
+/**
+ * 8-byte reads alternating between two 16 KiB arrays 1 MiB apart,
+ * walked in lockstep (a[i], b[i], a[i+1], ...), the pattern of a loop
+ * over two input arrays (vips, facesim): consecutive accesses resolve
+ * different chunks, so every access goes through the chunk directory.
+ */
+void
+BM_ChunkAlternation(benchmark::State &state)
+{
+    constexpr std::uint64_t kArray = 1 << 14;
+    constexpr std::uint64_t kApart = 1 << 20;
+    constexpr unsigned kSize = 8;
+    shadow::ShadowMemory sm;
+    const shadow::StampId rs = sm.internReader(shadow::ReaderStamp{1, 0});
+    std::uint64_t reads = 0;
+    for (auto _ : state) {
+        const vg::Addr addr = ((reads >> 1) * kSize) % kArray +
+                              ((reads & 1) != 0 ? kApart : 0);
+        sm.span(addr, addr + kSize - 1, true,
+                [&](shadow::ShadowMemory::Run run) {
+                    for (std::size_t i = 0; i < run.count; ++i)
+                        run.hot[i].reader = rs;
+                });
+        ++reads;
+    }
+    benchmark::DoNotOptimize(sm.stats().chunksAllocated);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ChunkAlternation);
 
 void
 BM_CacheSimAccess(benchmark::State &state)

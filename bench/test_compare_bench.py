@@ -12,7 +12,8 @@ diagnostics:
     KeyError traceback,
   - a self-compare still passes both modes,
   - the classification-layer entries (BM_ClassifyRead/*,
-    BM_FullReadDispatch items_per_second) are watched: a slower fresh
+    BM_InternReader/*, BM_ChunkAlternation, BM_FullReadDispatch
+    items_per_second) are watched: a slower fresh
     run fails strict mode naming the benchmark, a missing one is a
     suite diagnostic, and BM_NativeReadDispatch stays unwatched,
   - the removed parallel-engine sweeps (BM_ShardedReplay/*,
@@ -136,11 +137,14 @@ def main():
         rc, out = run(base_agg, fresh_full)
         check("nameless aggregate rows are skipped", rc == 0, out)
 
-        # Classification layer: both kernel variants and the full
-        # read dispatch are gated on items_per_second.
+        # Classification layer: both kernel variants, reader
+        # interning, chunk resolution and the full read dispatch are
+        # gated on items_per_second.
         layer = [
             bench("BM_ClassifyRead/0", items_per_second=1e7),
             bench("BM_ClassifyRead/1", items_per_second=5e6),
+            bench("BM_InternReader/1", items_per_second=1e8),
+            bench("BM_ChunkAlternation", items_per_second=1e8),
             bench("BM_FullReadDispatch", items_per_second=1e7),
             bench("BM_NativeReadDispatch", items_per_second=1e8),
         ]
@@ -151,7 +155,8 @@ def main():
               and "BM_ClassifyRead/1 [items_per_second]" in out
               and "BM_FullReadDispatch [items_per_second]" in out
               and "BM_NativeReadDispatch" not in out, out)
-        for name in ("BM_ClassifyRead/0", "BM_FullReadDispatch"):
+        for name in ("BM_ClassifyRead/0", "BM_InternReader/1",
+                     "BM_ChunkAlternation", "BM_FullReadDispatch"):
             slower = [bench(b["name"], items_per_second=(
                 b["items_per_second"] * 0.8 if b["name"] == name
                 else b["items_per_second"])) for b in layer]

@@ -9,10 +9,11 @@
  *
  * The bytes of one access almost always carry the same writer and
  * reader stamps, so commReadRun classifies once per run of units with
- * equal stamps (commClassifyBytes, with the run's summed width) and
- * keeps only the per-unit state — re-use runs, line totals, the
- * reader stamp — in a per-unit loop. The per-unit kernels
- * commReadUnit / commWriteUnit run only behind
+ * equal stamps (commClassifyBytes, with the run's summed width). The
+ * re-use runs those units close are folded per group of adjacent units
+ * with equal run state (commFinalizeRuns), so only plain stores — the
+ * new run state, line totals, the reader stamp — stay per unit. The
+ * per-unit kernels commReadUnit / commWriteUnit run only behind
  * SigilConfig::referenceShadowPath, as the differential oracle.
  */
 
@@ -76,6 +77,12 @@ struct CommTables
     std::unordered_map<std::uint64_t, std::size_t> edgeIndex;
     /** Edges in first-seen order. */
     std::vector<CommEdge> edges;
+    /**
+     * The key and index of the last edge edge() returned, in front of
+     * edgeIndex. Whoever rebuilds edgeIndex calls resetEdgeCache().
+     */
+    std::uint64_t lastEdgeKey = kNoEdgeKey;
+    std::size_t lastEdgeIndex = 0;
 
     /** (producerTid<<32|consumerTid) → thread-edge index. */
     std::unordered_map<std::uint64_t, std::size_t> threadEdgeIndex;
@@ -115,6 +122,34 @@ struct CommTables
                static_cast<std::uint32_t>(consumer);
     }
 
+    /**
+     * No edge has this key: its producer would be kInvalidContext, and
+     * a never-written byte's producer is kUninitProducer instead.
+     */
+    static constexpr std::uint64_t kNoEdgeKey = ~std::uint64_t{0};
+
+    /** The producer → consumer edge, appended on first use. */
+    CommEdge &
+    edge(vg::ContextId producer, vg::ContextId consumer)
+    {
+        const std::uint64_t key = edgeKey(producer, consumer);
+        if (key != lastEdgeKey) {
+            auto [it, inserted] = edgeIndex.try_emplace(key, edges.size());
+            if (inserted)
+                edges.push_back(CommEdge{producer, consumer, 0, 0});
+            lastEdgeKey = key;
+            lastEdgeIndex = it->second;
+        }
+        return edges[lastEdgeIndex];
+    }
+
+    void
+    resetEdgeCache()
+    {
+        lastEdgeKey = kNoEdgeKey;
+        lastEdgeIndex = 0;
+    }
+
     static std::uint64_t
     threadEdgeKey(vg::ThreadId producer, vg::ThreadId consumer)
     {
@@ -151,6 +186,53 @@ commFinalizeRun(CommTables &t, const bool &reuse_enabled,
         r.lifetimeHist.add(lifetime);
     }
     cold->runReads = 0;
+}
+
+/**
+ * Close the pending re-use runs of n adjacent units that all carry the
+ * reader stamp `reader`: commFinalizeRun over each of them, with every
+ * group of adjacent units whose (runReads, runFirstRead, runLastRead)
+ * are equal folded in one step. The histogram and sum updates are
+ * weighted by the group size, which is exact: they are commutative
+ * counts and sums. The caller has checked that re-use is on and the
+ * chunk has a cold array.
+ */
+inline void
+commFinalizeRuns(CommTables &t, const shadow::StampTable &st,
+                 shadow::StampId reader, shadow::ShadowCold *cold,
+                 std::size_t n)
+{
+    if (reader == 0)
+        return;
+    const shadow::ReaderStamp &rd = st.reader(reader);
+    if (rd.ctx == vg::kInvalidContext)
+        return;
+    std::size_t i = 0;
+    while (i < n) {
+        const shadow::ShadowCold &c = cold[i];
+        std::size_t j = i + 1;
+        while (j < n && cold[j].runReads == c.runReads &&
+               cold[j].runFirstRead == c.runFirstRead &&
+               cold[j].runLastRead == c.runLastRead)
+            ++j;
+        if (c.runReads != 0) {
+            const std::uint64_t count = j - i;
+            const std::uint64_t reuse = c.runReads - 1;
+            t.unitReuseBreakdown.add(reuse, count);
+            if (reuse >= 1) {
+                CommAggregates &r = t.row(rd.ctx);
+                r.reusedUnits += count;
+                r.reuseReads += reuse * count;
+                const std::uint64_t lifetime =
+                    c.runLastRead - c.runFirstRead;
+                r.lifetimeSum += lifetime * count;
+                r.lifetimeHist.add(lifetime, count);
+            }
+            for (std::size_t k = i; k < j; ++k)
+                cold[k].runReads = 0;
+        }
+        i = j;
+    }
 }
 
 /**
@@ -215,12 +297,7 @@ commClassifyBytes(CommTables &t, const ClassifyEnv &env,
             else
                 prod.nonuniqueOutputBytes += w;
         }
-        std::uint64_t key = CommTables::edgeKey(producer, a.ctx);
-        auto [it, inserted] =
-            t.edgeIndex.try_emplace(key, t.edges.size());
-        if (inserted)
-            t.edges.push_back(CommEdge{producer, a.ctx, 0, 0});
-        CommEdge &edge = t.edges[it->second];
+        CommEdge &edge = t.edge(producer, a.ctx);
         if (unique)
             edge.uniqueBytes += w;
         else
@@ -255,11 +332,10 @@ commClassifyBytes(CommTables &t, const ClassifyEnv &env,
 }
 
 /**
- * Per-unit state update of a classified read: continue or restart the
- * unit's re-use run (reuse), count the access (line mode), and record
- * the reader. Runs after the unit's bytes were classified against its
- * old stamps. The two modes are passed by value so a run kernel can
- * read the fidelity flags once per run.
+ * Per-unit state update of a classified read (commReadUnit's second
+ * half): continue or restart the unit's re-use run (reuse), count the
+ * access (line mode), and record the reader. Runs after the unit's
+ * bytes were classified against its old stamps.
  */
 inline void
 commReadUnitState(CommTables &t, const shadow::StampTable &st,
@@ -335,9 +411,11 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
  * [lo, hi) that falls on one chunk-clamped span run. The run is split
  * into maximal stamp runs — consecutive units with equal (writer,
  * reader) stamps — and each stamp run is classified once with its
- * summed byte width; only the per-unit state (re-use runs, line
- * totals, the reader stamp) is updated unit by unit. Produces exactly
- * the result of commReadUnit over every unit of the run in order.
+ * summed byte width. Its units share one reader stamp, so either all
+ * of them continue their re-use runs or all of them close them (one
+ * commFinalizeRuns call) and start new ones; the remaining per-unit
+ * work is plain stores. Produces exactly the result of commReadUnit
+ * over every unit of the run in order.
  */
 inline void
 commReadRun(CommTables &t, const ClassifyEnv &env,
@@ -385,18 +463,37 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
             std::min(hi, run_hi) - std::max(lo, run_lo);
         commClassifyBytes(t, env, st, s, w, a, seg_xfers,
                           unique_bytes_this_access);
-        for (std::size_t k = i; k < j; ++k) {
-            commReadUnitState(t, st, hot[k],
-                              cold != nullptr ? cold + k : nullptr, a.tick,
-                              reader_id, reuse, shift > 0);
+        // Re-use mode always resolves with want_cold, so cold is
+        // non-null whenever reuse or line mode is on.
+        if (reuse) {
+            if (s.reader == reader_id) {
+                for (std::size_t k = i; k < j; ++k) {
+                    ++cold[k].runReads;
+                    cold[k].runLastRead = a.tick;
+                }
+            } else {
+                commFinalizeRuns(t, st, s.reader, cold + i, j - i);
+                for (std::size_t k = i; k < j; ++k) {
+                    cold[k].runReads = 1;
+                    cold[k].runFirstRead = a.tick;
+                    cold[k].runLastRead = a.tick;
+                }
+            }
         }
+        if (shift > 0) {
+            for (std::size_t k = i; k < j; ++k)
+                ++cold[k].totalAccesses;
+        }
+        for (std::size_t k = i; k < j; ++k)
+            hot[k].reader = reader_id;
         i = j;
     }
 }
 
 /**
  * Write kernel: close the pending re-use runs of one
- * chunk-clamped span run, then stamp every unit with writer_id. Same
+ * chunk-clamped span run, one commFinalizeRuns call per run of units
+ * with equal reader stamps, then stamp every unit with writer_id. Same
  * result as commWriteUnit over every unit of the run.
  */
 inline void
@@ -409,11 +506,14 @@ commWriteRun(CommTables &t, const bool &reuse_enabled,
         // Close pending runs before the overwrite clobbers their
         // reader identity; units with no recorded reader have nothing
         // pending.
-        for (std::size_t i = 0; i < run.count; ++i) {
-            if (run.hot[i].reader != 0) {
-                commFinalizeRun(t, reuse_enabled, st, run.hot[i],
-                                run.cold + i);
-            }
+        std::size_t i = 0;
+        while (i < run.count) {
+            const shadow::StampId reader = run.hot[i].reader;
+            std::size_t j = i + 1;
+            while (j < run.count && run.hot[j].reader == reader)
+                ++j;
+            commFinalizeRuns(t, st, reader, run.cold + i, j - i);
+            i = j;
         }
     }
     // The stamp overwrite itself is a plain 8-byte word fill.

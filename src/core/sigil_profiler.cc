@@ -787,6 +787,7 @@ SigilProfiler::restoreState(ByteSource &src)
         return false;
     tables_.edges.clear();
     tables_.edgeIndex.clear();
+    tables_.resetEdgeCache();
     for (std::uint64_t i = 0; i < num_edges; ++i) {
         CommEdge e;
         e.producer = static_cast<vg::ContextId>(src.u32());
@@ -927,6 +928,16 @@ SigilProfiler::restoreState(ByteSource &src)
         shadow::ReaderStamp &r = readers[i];
         r.call = src.u64();
         r.ctx = static_cast<vg::ContextId>(src.u32());
+        // The reader index is a table indexed by call number (by
+        // context when call is 0), so a damaged tuple must not reach
+        // it: no read stamps a call past the table's range, a negative
+        // context, or a context the restored guest does not have.
+        if (!src.ok() || r.call > shadow::StampTable::kMaxReaderCall ||
+            r.ctx < 0 ||
+            (guest_ != nullptr &&
+             static_cast<std::size_t>(r.ctx) >= guest_->contexts().size())) {
+            return false;
+        }
         shadow_.internReader(r);
     }
 

@@ -26,42 +26,9 @@ ShadowMemory::setEvictionHandler(EvictionHandler handler,
     evictionFilter_ = filter;
 }
 
-void
-ShadowMemory::lruUnlink(Chunk *chunk)
-{
-    if (chunk->lruPrev != nullptr)
-        chunk->lruPrev->lruNext = chunk->lruNext;
-    else
-        lruHead_ = chunk->lruNext;
-    if (chunk->lruNext != nullptr)
-        chunk->lruNext->lruPrev = chunk->lruPrev;
-    else
-        lruTail_ = chunk->lruPrev;
-    chunk->lruPrev = nullptr;
-    chunk->lruNext = nullptr;
-}
-
-void
-ShadowMemory::lruAppend(Chunk *chunk)
-{
-    chunk->lruPrev = lruTail_;
-    chunk->lruNext = nullptr;
-    if (lruTail_ != nullptr)
-        lruTail_->lruNext = chunk;
-    else
-        lruHead_ = chunk;
-    lruTail_ = chunk;
-}
-
 ShadowMemory::Chunk &
-ShadowMemory::chunkFor(std::uint64_t unit)
+ShadowMemory::resolveChunk(std::uint64_t index)
 {
-    std::uint64_t index = unit >> kChunkShift;
-    // The cached chunk is the most recently touched one, so a cache hit
-    // needs no recency-list maintenance at all.
-    if (lastChunk_ != nullptr && index == lastChunkIndex_)
-        return *lastChunk_;
-
     auto it = directory_.find(index);
     if (it == directory_.end()) {
         if (maxChunks_ != 0 && directory_.size() >= maxChunks_)
@@ -116,8 +83,7 @@ ShadowMemory::chunkFor(std::uint64_t unit)
         lruUnlink(&it->second);
         lruAppend(&it->second);
     }
-    lastChunk_ = &it->second;
-    lastChunkIndex_ = index;
+    chunkSlots_[index & (kChunkSlots - 1)] = &it->second;
     return it->second;
 }
 
@@ -250,9 +216,9 @@ ShadowMemory::evictOldest()
         panic("ShadowMemory::evictOldest with no chunks");
     if (evictionHandler_)
         visitTouched(*victim, evictionHandler_, evictionFilter_);
-    // The lookup cache may point into the evicted chunk.
-    lastChunk_ = nullptr;
-    lastChunkIndex_ = ~0ull;
+    Chunk *&slot = chunkSlots_[victim->index & (kChunkSlots - 1)];
+    if (slot == victim)
+        slot = nullptr;
     bytesSub(chunkHotBytes());
     if (victim->cold) {
         bytesSub(chunkColdBytes());

@@ -8,7 +8,11 @@
  * Nethercote and Seward's design: a first-level directory indexed by the
  * high bits of the unit index, pointing at lazily created second-level
  * chunks of shadow objects. Chunks are created the first time their
- * address range is touched.
+ * address range is touched. The directory is a hash map (a 64-bit
+ * guest address space has too many chunk indices for a flat table)
+ * behind a direct-mapped table of chunk pointers indexed by the low
+ * bits of the chunk index, which plays the role of Valgrind's primary
+ * map on the access path.
  *
  * Per chunk the state is stored as a structure-of-arrays split:
  *  - a *hot* array (ShadowHot): two 32-bit stamp ids per unit — the
@@ -39,6 +43,7 @@
 #define SIGIL_SHADOW_SHADOW_MEMORY_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -438,12 +443,60 @@ class ShadowMemory
         Chunk *lruNext = nullptr;
     };
 
-    Chunk &chunkFor(std::uint64_t unit);
+    /** Slots of the direct-mapped chunk table (see chunkSlots_). */
+    static constexpr std::size_t kChunkSlots = 1024;
+
+    /**
+     * The chunk of a unit, created if absent, made the most recently
+     * touched one. A chunk-table hit costs one load and, unless the
+     * chunk is already the newest, a recency relink, so eviction order
+     * is the same as without the table.
+     */
+    Chunk &
+    chunkFor(std::uint64_t unit)
+    {
+        const std::uint64_t index = unit >> kChunkShift;
+        Chunk *chunk = chunkSlots_[index & (kChunkSlots - 1)];
+        if (chunk == nullptr || chunk->index != index)
+            return resolveChunk(index);
+        if (chunk != lruTail_) {
+            lruUnlink(chunk);
+            lruAppend(chunk);
+        }
+        return *chunk;
+    }
+
+    /** chunkFor() past a chunk-table miss: directory lookup or create. */
+    Chunk &resolveChunk(std::uint64_t index);
     void materializeCold(Chunk &chunk);
     void evictOldest();
 
-    void lruUnlink(Chunk *chunk);
-    void lruAppend(Chunk *chunk);
+    void
+    lruUnlink(Chunk *chunk)
+    {
+        if (chunk->lruPrev != nullptr)
+            chunk->lruPrev->lruNext = chunk->lruNext;
+        else
+            lruHead_ = chunk->lruNext;
+        if (chunk->lruNext != nullptr)
+            chunk->lruNext->lruPrev = chunk->lruPrev;
+        else
+            lruTail_ = chunk->lruPrev;
+        chunk->lruPrev = nullptr;
+        chunk->lruNext = nullptr;
+    }
+
+    void
+    lruAppend(Chunk *chunk)
+    {
+        chunk->lruPrev = lruTail_;
+        chunk->lruNext = nullptr;
+        if (lruTail_ != nullptr)
+            lruTail_->lruNext = chunk;
+        else
+            lruHead_ = chunk;
+        lruTail_ = chunk;
+    }
 
     /**
      * The single owner of the touched-bit scan: every sweep — the
@@ -496,9 +549,13 @@ class ShadowMemory
     unsigned granularityShift_;
     std::size_t maxChunks_;
     std::unordered_map<std::uint64_t, Chunk> directory_;
-    /** One-entry lookup cache for the common sequential-access case. */
-    Chunk *lastChunk_ = nullptr;
-    std::uint64_t lastChunkIndex_ = ~0ull;
+    /**
+     * Direct-mapped chunk table: slot index & (kChunkSlots - 1) holds
+     * the last chunk resolved there, or null. Directory nodes never
+     * move, so the pointers stay valid until evictOldest() clears the
+     * victim's slot.
+     */
+    std::array<Chunk *, kChunkSlots> chunkSlots_{};
     Chunk *lruHead_ = nullptr;
     Chunk *lruTail_ = nullptr;
     EvictionHandler evictionHandler_;

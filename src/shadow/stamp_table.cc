@@ -32,14 +32,6 @@ StampTable::WriterHash::operator()(const WriterStamp &s) const
     return static_cast<std::size_t>(h);
 }
 
-std::size_t
-StampTable::ReaderHash::operator()(const ReaderStamp &s) const
-{
-    std::uint64_t h = mix(0, s.call);
-    h = mix(h, static_cast<std::uint32_t>(s.ctx));
-    return static_cast<std::size_t>(h);
-}
-
 StampTable::StampTable()
 {
     // Reserved null entries: id 0 is the default (never written /
@@ -47,7 +39,6 @@ StampTable::StampTable()
     writers_.push_back(WriterStamp{});
     writerIndex_.emplace(WriterStamp{}, 0);
     readers_.push_back(ReaderStamp{});
-    readerIndex_.emplace(ReaderStamp{}, 0);
 }
 
 StampId
@@ -71,23 +62,51 @@ StampTable::internWriter(const WriterStamp &s)
 }
 
 StampId
+StampTable::appendReader(const ReaderStamp &s)
+{
+    if (readers_.size() > std::numeric_limits<StampId>::max()) {
+        fatal("StampTable: reader stamp ids exhausted (%zu entries)",
+              readers_.size());
+    }
+    readers_.push_back(s);
+    return static_cast<StampId>(readers_.size() - 1);
+}
+
+StampId
 StampTable::internReader(const ReaderStamp &s)
 {
     if (s == lastReader_)
         return lastReaderId_;
-    auto [it, inserted] =
-        readerIndex_.try_emplace(s, static_cast<StampId>(readers_.size()));
-    if (inserted) {
-        if (readers_.size() >
-            std::numeric_limits<StampId>::max()) {
-            fatal("StampTable: reader stamp ids exhausted (%zu entries)",
-                  readers_.size());
+    StampId id = 0;
+    if (s.call == 0) {
+        // Context + 1 in 32-bit arithmetic, so the null tuple's
+        // context (-1) lands on key 0, which stays empty: id 0.
+        StampId &slot = readersByContext_.slot(
+            static_cast<std::uint32_t>(s.ctx) + 1u);
+        if (slot == 0 && !(s == ReaderStamp{}))
+            slot = appendReader(s);
+        id = slot;
+    } else {
+        if (s.call > kMaxReaderCall) {
+            fatal("StampTable: reader call number %llu beyond the "
+                  "indexed range",
+                  static_cast<unsigned long long>(s.call));
         }
-        readers_.push_back(s);
+        StampId &slot = readersByCall_.slot(s.call);
+        if (slot == 0)
+            slot = appendReader(s);
+        id = slot;
+        if (readers_[id].ctx != s.ctx) {
+            auto [it, inserted] =
+                sharedCallReaders_.try_emplace({s.call, s.ctx}, 0);
+            if (inserted)
+                it->second = appendReader(s);
+            id = it->second;
+        }
     }
     lastReader_ = s;
-    lastReaderId_ = it->second;
-    return it->second;
+    lastReaderId_ = id;
+    return id;
 }
 
 } // namespace sigil::shadow

@@ -21,6 +21,12 @@
  * deterministic for a given access stream: a checkpoint body can
  * store ids, and a resumed run that re-interns the saved table in id
  * order assigns the same ones.
+ *
+ * Reader tuples are interned once per read that misses the one-entry
+ * cache, so their index is a direct table rather than a hash: call
+ * numbers are dense (the guest numbers calls 1, 2, 3, ...), so a
+ * reader with call != 0 is found by its call number, and the call = 0
+ * tuples of re-use-off runs by their context.
  */
 
 #ifndef SIGIL_SHADOW_STAMP_TABLE_HH
@@ -28,7 +34,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "vg/types.hh"
@@ -84,10 +94,25 @@ struct ReaderStamp
     }
 };
 
-/** The interning table: dense id → tuple, hash tuple → id. */
+/**
+ * The interning table: dense id → tuple; writer tuple → id by hash,
+ * reader tuple → id by call number (or by context when call = 0).
+ */
 class StampTable
 {
   public:
+    /**
+     * Largest reader call number the call-indexed table accepts. Call
+     * numbers share the 32-bit range of the ids they map to: with
+     * re-use on every reading call is its own reader tuple, so a run
+     * past this many calls would exhaust the reader ids anyway. It also
+     * bounds the table's page directory at 8 MB, which is what lets a
+     * checkpoint restore reject a damaged call number before interning
+     * it.
+     */
+    static constexpr vg::CallNum kMaxReaderCall =
+        std::numeric_limits<StampId>::max();
+
     StampTable();
 
     /** Intern a tuple, returning its (possibly existing) id. */
@@ -114,9 +139,9 @@ class StampTable
     /**
      * Deterministic memory accounting: bytes attributed to the interned
      * entries beyond the two reserved null entries. Per entry this is
-     * the tuple itself plus a fixed hash-index share, so two tables
-     * holding the same entries report the same figure regardless of
-     * load factors — so a resumed run reports the same
+     * the tuple itself plus a fixed index share, so two tables holding
+     * the same entries report the same figure regardless of load
+     * factors or page layout — so a resumed run reports the same
      * shadowPeakBytes as an uninterrupted one.
      */
     static constexpr std::size_t kIndexShareBytes = 24;
@@ -135,15 +160,55 @@ class StampTable
     {
         std::size_t operator()(const WriterStamp &s) const;
     };
-    struct ReaderHash
+
+    /**
+     * Direct key → id table for dense keys, built from fixed-size
+     * pages allocated on first use; 0 marks an empty slot. Pages keep
+     * the table's memory proportional to the keys in use: one growing
+     * array would double past the live keys and hold both copies while
+     * it moves.
+     */
+    class PagedIds
     {
-        std::size_t operator()(const ReaderStamp &s) const;
+      public:
+        static constexpr unsigned kPageShift = 12;
+        static constexpr std::size_t kPageIds = std::size_t{1}
+                                                << kPageShift;
+
+        /** The slot of key, allocating its page on first use. */
+        StampId &
+        slot(std::uint64_t key)
+        {
+            const std::size_t page = static_cast<std::size_t>(
+                key >> kPageShift);
+            if (page >= pages_.size())
+                pages_.resize(page + 1);
+            if (!pages_[page])
+                pages_[page] = std::make_unique<StampId[]>(kPageIds);
+            return pages_[page][key & (kPageIds - 1)];
+        }
+
+      private:
+        std::vector<std::unique_ptr<StampId[]>> pages_;
     };
+
+    StampId appendReader(const ReaderStamp &s);
 
     std::vector<WriterStamp> writers_;
     std::vector<ReaderStamp> readers_;
     std::unordered_map<WriterStamp, StampId, WriterHash> writerIndex_;
-    std::unordered_map<ReaderStamp, StampId, ReaderHash> readerIndex_;
+    /** Readers with call != 0, by call number. */
+    PagedIds readersByCall_;
+    /** Readers with call = 0 (re-use off), by context + 1. */
+    PagedIds readersByContext_;
+    /**
+     * Readers whose call number readersByCall_ already maps to a tuple
+     * of another context. A guest call runs in one context, so only a
+     * direct caller of the table can fill this; it keeps interning
+     * injective for every input.
+     */
+    std::map<std::pair<vg::CallNum, vg::ContextId>, StampId>
+        sharedCallReaders_;
 
     /**
      * One-entry intern caches: consecutive accesses share the ambient

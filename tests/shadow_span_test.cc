@@ -14,7 +14,10 @@
  * The mixed-stamp cases aim the same comparison at the run kernel's
  * stamp-run split: single multi-unit reads whose units carry several
  * distinct (writer, reader) stamp pairs, plus a chunk-crossing read
- * whose fidelity degrades between its two chunk runs.
+ * whose fidelity degrades between its two chunk runs. The mixed re-use
+ * case aims it at the batched re-use finalization: one stamp run, or
+ * one run of equal reader stamps under a write, whose units carry
+ * different re-use run state.
  */
 
 #include <gtest/gtest.h>
@@ -350,6 +353,101 @@ INSTANTIATE_TEST_SUITE_P(
             name += "_events";
         return name;
     });
+
+/**
+ * One stamp run whose units differ in re-use state, closed by a read
+ * of a new call, then a write over a run of mixed readers. The
+ * consumer's first call reads 40 units at separate ticks so that
+ * adjacent groups of units agree on two of (runReads, runFirstRead,
+ * runLastRead) and differ in the third:
+ *   [0,4) and [4,8)     re-read once at different ticks (last differs);
+ *   [8,12)              re-read twice (count differs);
+ *   [32,36) and [36,40) first read at different ticks, re-read
+ *                       together (first differs).
+ * The second call's own re-read of [20,24) leaves mixed state under
+ * its reader stamp too.
+ * All 40 units still carry one (writer, reader) stamp pair, so the
+ * second call's read classifies them as one stamp run and closes
+ * their runs in one batched step. Inside that call a nested call
+ * reads [8,16) and then [10,12) again, and a write over [0,40) then
+ * closes three runs of reader stamps with mixed run state.
+ */
+void
+runMixedReuse(unsigned granularity_shift, bool reference_path,
+              std::string &profile, std::string &events)
+{
+    core::SigilConfig cfg;
+    cfg.granularityShift = granularity_shift;
+    cfg.collectEvents = true;
+    cfg.referenceShadowPath = reference_path;
+    vg::Guest g("mixed_reuse");
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+
+    const vg::Addr u = vg::Addr{1} << granularity_shift;
+    const vg::Addr base = vg::kHeapBase + 64 * u;
+    auto read = [&](unsigned first, unsigned count) {
+        g.iop(7);
+        g.read(base + first * u, static_cast<unsigned>(count * u));
+    };
+    g.enter("main");
+    g.enter("producer");
+    g.write(base, static_cast<unsigned>(40 * u));
+    g.leave();
+
+    g.enter("consumer");
+    read(0, 32);
+    read(0, 4);
+    read(4, 4);
+    read(8, 4);
+    read(8, 4);
+    read(32, 4);
+    // A longer gap than the one between the re-reads of [0,4) and
+    // [4,8), so a lifetime error on one group cannot cancel the other.
+    g.iop(100);
+    read(36, 4);
+    read(32, 8);
+    g.leave();
+
+    g.enter("consumer");
+    read(0, 40);
+    g.enter("nested");
+    read(8, 8);
+    read(10, 2);
+    g.leave();
+    read(20, 4);
+    g.enter("producer");
+    g.write(base, static_cast<unsigned>(40 * u));
+    g.leave();
+    g.leave();
+    g.leave();
+    g.finish();
+
+    core::SigilProfile sp = prof.takeProfile();
+    // Guard against the vacuous pass: re-use runs with lifetimes were
+    // closed.
+    std::uint64_t lifetime_sum = 0;
+    for (const core::SigilRow &row : sp.rows)
+        lifetime_sum += row.agg.lifetimeSum;
+    EXPECT_GT(lifetime_sum, 0u);
+    std::ostringstream pos;
+    core::writeProfile(pos, sp);
+    profile = pos.str();
+    std::ostringstream eos;
+    core::writeEvents(eos, prof.events());
+    events = eos.str();
+}
+
+TEST(ShadowSpanMixedReuse, BatchedFinalizationMatchesReference)
+{
+    for (unsigned shift : {0u, 6u}) {
+        std::string ref_profile, ref_events, run_profile, run_events;
+        runMixedReuse(shift, true, ref_profile, ref_events);
+        runMixedReuse(shift, false, run_profile, run_events);
+        EXPECT_EQ(ref_profile, run_profile) << "granularity " << shift;
+        EXPECT_EQ(ref_events, run_events) << "granularity " << shift;
+    }
+}
 
 /** Silences the degradation warnings of the fidelity-flip test. */
 class QuietLogs

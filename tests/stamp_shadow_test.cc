@@ -16,14 +16,20 @@
  *     that is bitwise identical to the uninterrupted run; a save →
  *     restore → save round-trip is byte-stable, and any other body
  *     version is rejected.
+ *
+ * A third case checks the reader index itself against a std::map
+ * oracle: dense first-intern ids for every (call, context) tuple,
+ * across a checkpoint resume.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
@@ -350,6 +356,85 @@ TEST(StampShadowProperty, StampTuplesOutliveEvictedChunks)
     ByteSink sink2;
     prof2.saveState(sink2);
     EXPECT_EQ(sink.bytes(), sink2.bytes());
+}
+
+// Reader ids against a std::map oracle. ------------------------------
+
+/**
+ * A random stream of reader tuples: call 0 (the re-use-off stamps,
+ * indexed by context), calls just below and above the call table's
+ * 4096-id page boundary and a second boundary further up, the same
+ * call with several contexts, repeats and the null tuple. Every id
+ * must be the oracle's dense first-intern id, and a profiler restored
+ * from a v3 checkpoint taken mid-stream must continue with the same
+ * ids.
+ */
+TEST(StampShadowProperty, ReaderIdsMatchFirstInternOracle)
+{
+    Rng rng(0x5eed);
+    std::vector<shadow::ReaderStamp> stream;
+    for (int i = 0; i < 6000; ++i) {
+        shadow::ReaderStamp s;
+        switch (rng.nextBounded(6)) {
+        case 0:
+            s.call = 0;
+            break;
+        case 1:
+            s.call = 1 + rng.nextBounded(64);
+            break;
+        case 2:
+        case 3:
+            s.call = 4096 - 32 + rng.nextBounded(64);
+            break;
+        case 4:
+            s.call = 3 * 4096 - 8 + rng.nextBounded(16);
+            break;
+        default:
+            // A repeat of an earlier tuple (or the null tuple).
+            s = stream.empty() ? shadow::ReaderStamp{}
+                               : stream[rng.nextBounded(stream.size())];
+            stream.push_back(s);
+            continue;
+        }
+        s.ctx = static_cast<vg::ContextId>(rng.nextBounded(12));
+        stream.push_back(s);
+    }
+
+    std::map<std::pair<vg::CallNum, vg::ContextId>, shadow::StampId>
+        oracle{{{0, vg::kInvalidContext}, 0}};
+    std::vector<shadow::StampId> expected;
+    for (const shadow::ReaderStamp &s : stream) {
+        auto [it, inserted] = oracle.try_emplace(
+            {s.call, s.ctx}, static_cast<shadow::StampId>(oracle.size()));
+        expected.push_back(it->second);
+    }
+    ASSERT_GT(oracle.size(), 500u);
+
+    const std::size_t cut = stream.size() / 2;
+    core::SigilProfiler prof;
+    for (std::size_t i = 0; i < cut; ++i) {
+        ASSERT_EQ(prof.shadowMemory().internReader(stream[i]), expected[i])
+            << "tuple " << i;
+    }
+    ByteSink sink;
+    prof.saveState(sink);
+    core::SigilProfiler resumed;
+    ByteSource src(sink.bytes().data(), sink.bytes().size());
+    ASSERT_TRUE(resumed.restoreState(src));
+    for (std::size_t i = cut; i < stream.size(); ++i) {
+        ASSERT_EQ(prof.shadowMemory().internReader(stream[i]), expected[i])
+            << "tuple " << i;
+        ASSERT_EQ(resumed.shadowMemory().internReader(stream[i]),
+                  expected[i])
+            << "resumed, tuple " << i;
+    }
+    const shadow::StampTable &table = resumed.shadowMemory().stamps();
+    ASSERT_EQ(table.readerCount(), oracle.size());
+    for (const auto &[tuple, id] : oracle) {
+        EXPECT_EQ(table.reader(id).call, tuple.first);
+        EXPECT_EQ(table.reader(id).ctx, tuple.second);
+    }
+    EXPECT_EQ(resumed.shadowPeakBytes(), prof.shadowPeakBytes());
 }
 
 } // namespace

@@ -1172,5 +1172,71 @@ TEST(GuestState, SaveRestoreRoundTripsBitIdentically)
     }
 }
 
+// ---------------------------------------------------------------------
+// Profiler checkpoint body: damaged reader tuples
+// ---------------------------------------------------------------------
+
+/**
+ * The reader stamp index is a table indexed by call number (by context
+ * for call 0), so a reader tuple from a damaged body would otherwise
+ * size an allocation by its call or context. The body of a profiler
+ * that never touched memory ends with three zero varints (writer,
+ * reader and chunk counts); the crafted body swaps the reader count
+ * for one tuple.
+ */
+TEST(ProfilerState, DamagedReaderTupleIsRejectedBeforeInterning)
+{
+    vg::Guest g("readers");
+    core::SigilProfiler prof;
+    g.addTool(&prof);
+    g.enter("main");
+    ByteSink sink;
+    prof.saveState(sink);
+    const std::string body = sink.take();
+    ASSERT_EQ(body.substr(body.size() - 3), std::string(3, '\0'));
+
+    auto restoreWith = [&](std::uint64_t call, std::int32_t ctx,
+                           bool attach) {
+        ByteSink crafted;
+        crafted.raw(body.data(), body.size() - 2);
+        crafted.varint(1);
+        crafted.u64(call);
+        crafted.u32(static_cast<std::uint32_t>(ctx));
+        crafted.varint(0);
+        vg::Guest g2("readers");
+        core::SigilProfiler restored;
+        if (attach) {
+            g2.addTool(&restored);
+            g2.enter("main");
+        }
+        ByteSource src(crafted.bytes().data(), crafted.bytes().size());
+        const bool ok = restored.restoreState(src);
+        if (ok) {
+            EXPECT_EQ(restored.shadowMemory().stamps().readerCount(), 2u);
+        } else {
+            // Rejected before interning: the table holds the null
+            // entry only.
+            EXPECT_EQ(restored.shadowMemory().stamps().readerCount(), 1u);
+        }
+        return ok;
+    };
+
+    // Controls: well-formed tuples restore.
+    EXPECT_TRUE(restoreWith(2, 0, true));
+    EXPECT_TRUE(restoreWith(0, 0, true));
+    EXPECT_TRUE(restoreWith(shadow::StampTable::kMaxReaderCall, 0, false));
+
+    // A call number past the indexed range.
+    EXPECT_FALSE(restoreWith(std::uint64_t{1} << 63, 0, true));
+    EXPECT_FALSE(restoreWith(shadow::StampTable::kMaxReaderCall + 1, 0,
+                             false));
+    // A negative context (the null tuple's is never saved).
+    EXPECT_FALSE(restoreWith(2, -1, false));
+    EXPECT_FALSE(restoreWith(0, -7, false));
+    // A context the restored guest does not have.
+    EXPECT_FALSE(restoreWith(0, 0x7fffffff, true));
+    EXPECT_FALSE(restoreWith(2, 1000, true));
+}
+
 } // namespace
 } // namespace sigil
